@@ -8,13 +8,28 @@ threshold together with the lexicographically least shortest reset word.
 The search is budgeted; the pair test runs first so non-synchronizing
 inputs never trigger an exponential walk.
 
+The search is level-synchronous.  Subsets are bit sets, and the image of
+a whole level under a letter is computed from per-letter lookup tables,
+one 256-entry table per byte of the state set, the bit-parallel image
+trick of exact reset-word tools (Trahtman 2006; Kisielewicz, Kowalski
+and Szykuła 2015).  The frontier is held as packed bytes, and each level
+stores, per discovered subset, only the index of its parent in the
+previous level and the letter taken; the witness is read back through
+these per-level arrays.  Because subsets
+are discovered in frontier order and letters are tried in index order,
+the first singleton found ends the lexicographically least shortest
+reset word.
+
 The ``check_*`` functions package the library's named claims (see the
 verification harness) as one-shot reports.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import chain
+from operator import or_
 
 from .core import (
     Dfa,
@@ -140,9 +155,22 @@ def reset_threshold(
 
     Runs the pair test first; a non-synchronizing automaton is reported
     without any subset exploration.  Otherwise a breadth-first search
-    from the full state set walks subsets under the letter actions,
-    trying letters in index order so that the first singleton discovered
-    yields the lexicographically least shortest reset word.
+    from the full state set walks subsets under the letter actions one
+    level at a time.  Within a level, candidates are taken subset by
+    subset in discovery order and, for each subset, letter by letter in
+    index order.  Every subset is therefore first reached along the
+    lexicographically least shortest word that reaches it, so the first
+    singleton discovered yields the lexicographically least shortest
+    reset word, and ``states_explored`` counts the subsets discovered up
+    to and including it.
+
+    Subsets are bit sets, kept as ints in the seen set and as
+    little-endian bytes in the frontier.  Each letter carries one
+    256-entry table per byte of the state set, mapping every byte value
+    to the image of those states; a subset's image is the OR of one
+    lookup per byte.  Each discovered subset records, in an array per
+    level, the index of its parent in the previous level times ``k``
+    plus the letter; the witness is read back through these arrays.
 
     Raises ``UsageError`` when the automaton has more than ``capacity``
     states; use :func:`is_synchronizing` alone for such sizes.
@@ -158,54 +186,77 @@ def reset_threshold(
     full = (1 << n) - 1
     if n == 1:
         return SyncResult(True, 0, (), 1, False)
-    masks = [[1 << t for t in row] for row in dfa.delta]
     k = dfa.k
-    # bits -> (parent bits, letter); the full set is its own root.
-    seen: dict[int, tuple[int, int]] = {full: (full, -1)}
-    frontier = [full]
+    width = (n + 7) // 8
+    tables = [_byte_tables(row) for row in dfa.delta]
+    max_subsets = budget.max_subsets
+    seen = {full}
+    add_seen = seen.add
+    # levels[d][i] = parent index * k + letter of the i-th subset at depth d + 1
+    levels: list[array] = []
+    # a frontier is its subsets' bytes, little-endian, ``width`` per subset
+    frontier = full.to_bytes(width, "little")
     depth = 0
     while frontier:
         if budget.max_depth is not None and depth >= budget.max_depth:
             return SyncResult(False, None, None, len(seen), True)
         depth += 1
-        next_frontier: list[int] = []
-        for bits in frontier:
-            for j in range(k):
-                row_masks = masks[j]
-                img = 0
-                rest = bits
-                while rest:
-                    low = rest & -rest
-                    img |= row_masks[low.bit_length() - 1]
-                    rest ^= low
-                if img in seen:
-                    continue
-                if (
-                    budget.max_subsets is not None
-                    and len(seen) >= budget.max_subsets
-                ):
-                    return SyncResult(False, None, None, len(seen), True)
-                seen[img] = (bits, j)
-                if img & (img - 1) == 0:
-                    return SyncResult(
-                        True, depth, _walk_back(seen, img, full), len(seen), False
-                    )
-                next_frontier.append(img)
+        # images[j] yields, lazily and in frontier order, each subset's
+        # image under letter j: the OR of one table lookup per byte
+        columns = [frontier[b::width] for b in range(width)]
+        images = []
+        for chunk_tables in tables:
+            image = map(chunk_tables[0].__getitem__, columns[0])
+            for table, column in zip(chunk_tables[1:], columns[1:]):
+                image = map(or_, image, map(table.__getitem__, column))
+            images.append(image)
+        links = array("Q")
+        next_frontier = bytearray()
+        add_link = links.append
+        add_next = next_frontier.extend
+        # position = parent index * k + letter, in discovery order
+        for position, img in enumerate(chain.from_iterable(zip(*images))):
+            if img in seen:
+                continue
+            if max_subsets is not None and len(seen) >= max_subsets:
+                return SyncResult(False, None, None, len(seen), True)
+            add_seen(img)
+            if img.bit_count() == 1:
+                witness = _spell_back(levels, position, k)
+                return SyncResult(True, depth, witness, len(seen), False)
+            add_next(img.to_bytes(width, "little"))
+            add_link(position)
+        levels.append(links)
         frontier = next_frontier
     raise RuntimeError(
         "subset search exhausted without a singleton after a positive pair test"
     )
 
 
-def _walk_back(
-    seen: dict[int, tuple[int, int]], bits: int, root: int
-) -> Word:
+def _spell_back(levels: list[array], position: int, k: int) -> Word:
+    """The word reaching the candidate at ``position`` (parent index in
+    the last level times ``k`` plus letter) from the full set."""
     word = []
-    while bits != root:
-        bits, j = seen[bits]
+    for links in reversed(levels):
+        position, j = divmod(position, k)
         word.append(j)
+        position = links[position]
+    word.append(position)  # a first-level position is the letter itself
     word.reverse()
     return tuple(word)
+
+
+def _byte_tables(row: tuple[int, ...]) -> list[list[int]]:
+    """One table per byte of a state set: entry ``v`` is the image, as
+    bits, of the states whose bits are set in byte value ``v``."""
+    tables = []
+    for start in range(0, len(row), 8):
+        table = [0]
+        for target in row[start : start + 8]:
+            bit = 1 << target
+            table += [x | bit for x in table]
+        tables.append(table)
+    return tables
 
 
 def verify_reset_word(dfa: Dfa, word: Word) -> bool:

@@ -43,13 +43,16 @@ BUDGET_ENV = "IDEMSYNC_MAX_SUBSETS"
 
 
 def _read_dfa(path: str) -> Dfa:
-    if path == "-":
-        return parse_automaton(sys.stdin.read())
     try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path} is not UTF-8: bad byte at offset {exc.start}") from None
     return parse_automaton(text)
 
 

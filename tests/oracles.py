@@ -3,14 +3,24 @@
 Nothing here shares code paths with the library's search or decision
 procedures: the reset oracle enumerates words, the connectivity oracle
 runs one reachability sweep per state, and the helpers build inputs with
-known structure by construction.
+known structure by construction.  The one exception is
+:func:`reference_reset_threshold`, the library's earlier subset search
+kept as a differential reference; it reuses only the pair test.
 """
 
 from __future__ import annotations
 
 import random
 
-from idemsync import Dfa
+from idemsync import (
+    DEFAULT_BUDGET,
+    DEFAULT_CAPACITY,
+    Dfa,
+    SearchBudget,
+    SyncResult,
+    UsageError,
+    is_synchronizing,
+)
 
 
 def brute_shortest_reset(dfa: Dfa) -> tuple[int, tuple[int, ...]] | None:
@@ -105,3 +115,71 @@ def inflate(base: Dfa, sizes: list[int], seed: int) -> tuple[Dfa, list[int]]:
             new_row.append(first[target] + rng.randrange(sizes[target]))
         rows.append(tuple(new_row))
     return Dfa(total, base.letters, tuple(rows)), block_of
+
+
+def reference_reset_threshold(
+    dfa: Dfa,
+    budget: SearchBudget = DEFAULT_BUDGET,
+    capacity: int = DEFAULT_CAPACITY,
+) -> SyncResult:
+    """The earlier ``reset_threshold``: one subset at a time, parents in a
+    dict of tuples, images OR-ed one state bit at a time."""
+    n = dfa.n
+    if n > capacity:
+        raise UsageError(
+            f"{n} states exceed the subset-search capacity {capacity}; "
+            "the pair test (is_synchronizing) still applies"
+        )
+    if not is_synchronizing(dfa):
+        return SyncResult(False, None, None, 0, False)
+    full = (1 << n) - 1
+    if n == 1:
+        return SyncResult(True, 0, (), 1, False)
+    masks = [[1 << t for t in row] for row in dfa.delta]
+    k = dfa.k
+    # bits -> (parent bits, letter); the full set is its own root.
+    seen: dict[int, tuple[int, int]] = {full: (full, -1)}
+    frontier = [full]
+    depth = 0
+    while frontier:
+        if budget.max_depth is not None and depth >= budget.max_depth:
+            return SyncResult(False, None, None, len(seen), True)
+        depth += 1
+        next_frontier: list[int] = []
+        for bits in frontier:
+            for j in range(k):
+                row_masks = masks[j]
+                img = 0
+                rest = bits
+                while rest:
+                    low = rest & -rest
+                    img |= row_masks[low.bit_length() - 1]
+                    rest ^= low
+                if img in seen:
+                    continue
+                if (
+                    budget.max_subsets is not None
+                    and len(seen) >= budget.max_subsets
+                ):
+                    return SyncResult(False, None, None, len(seen), True)
+                seen[img] = (bits, j)
+                if img & (img - 1) == 0:
+                    return SyncResult(
+                        True, depth, _walk_back(seen, img, full), len(seen), False
+                    )
+                next_frontier.append(img)
+        frontier = next_frontier
+    raise RuntimeError(
+        "subset search exhausted without a singleton after a positive pair test"
+    )
+
+
+def _walk_back(
+    seen: dict[int, tuple[int, int]], bits: int, root: int
+) -> tuple[int, ...]:
+    word = []
+    while bits != root:
+        bits, j = seen[bits]
+        word.append(j)
+    word.reverse()
+    return tuple(word)

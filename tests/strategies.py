@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hypothesis.strategies as st
 
-from idemsync import Dfa
+from idemsync import Dfa, SearchBudget
 
 
 @st.composite
@@ -30,3 +30,16 @@ def dfas_with_words(
         )
     )
     return dfa, word
+
+
+@st.composite
+def dfas_with_budgets(
+    draw, max_n: int = 20, max_k: int = 3
+) -> tuple[Dfa, SearchBudget]:
+    """Automata with subset-search budgets; unlimited subsets only where
+    the whole power set has at most 4096 members."""
+    dfa = draw(dfas(max_n=max_n, max_k=max_k))
+    unlimited = st.none() if dfa.n <= 12 else st.nothing()
+    max_subsets = draw(unlimited | st.integers(1, 4096))
+    max_depth = draw(st.none() | st.integers(1, 40))
+    return dfa, SearchBudget(max_subsets, max_depth)

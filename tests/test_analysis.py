@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from idemsync import (
     Dfa,
@@ -26,7 +27,13 @@ from idemsync import (
     subautomaton,
     verify_reset_word,
 )
-from oracles import brute_shortest_reset, closure, inflate
+from oracles import (
+    brute_shortest_reset,
+    closure,
+    inflate,
+    reference_reset_threshold,
+)
+from strategies import dfas_with_budgets
 
 UNARY_CYCLE4 = Dfa(4, ("r",), ((1, 2, 3, 0),))
 ONE_STATE = Dfa(1, ("u",), ((0,),))
@@ -99,7 +106,7 @@ class TestResetThreshold:
         assert result.truncated
         assert not result.synchronizing
         assert result.threshold is None and result.witness is None
-        assert result.states_explored <= 2
+        assert result.states_explored == 2
 
     def test_depth_budget_bounds_word_length(self):
         assert reset_threshold(gen_cerny(4), SearchBudget(max_depth=8)).truncated
@@ -125,6 +132,56 @@ class TestResetThreshold:
         first = reset_threshold(gen_cerny(6))
         second = reset_threshold(gen_cerny(6))
         assert first == second
+
+
+class TestSearchEngine:
+    """The subset search against the earlier engine, field for field."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(dfas_with_budgets())
+    def test_matches_reference_engine(self, case):
+        dfa, budget = case
+        assert reset_threshold(dfa, budget) == reference_reset_threshold(dfa, budget)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_matches_reference_on_cerny_and_doubled(self, n):
+        for dfa in (gen_cerny(n), higgins_transform(gen_cerny(max(2, n // 2))).result):
+            assert reset_threshold(dfa) == reference_reset_threshold(dfa)
+
+    def test_matches_reference_on_wide_random_sets(self):
+        for seed in range(6):
+            dfa = gen_random_dfa(60 + seed % 4, 2, seed)
+            budget = SearchBudget(max_subsets=2000)
+            assert reset_threshold(dfa, budget) == reference_reset_threshold(dfa, budget)
+
+    def test_many_letters(self):
+        # letter 0 swaps states 0 and 2, letter 299 merges 0 into 1,
+        # and the 298 letters between them are identities
+        rows = ((2, 1, 0),) + ((0, 1, 2),) * 298 + ((1, 1, 2),)
+        dfa = Dfa(3, tuple(f"l{j}" for j in range(300)), rows)
+        result = reset_threshold(dfa)
+        assert (result.threshold, result.witness) == (3, (299, 0, 299))
+        assert result == reference_reset_threshold(dfa)
+
+    def test_sixty_four_states_at_capacity(self):
+        dfa = gen_ladder(64)
+        result = reset_threshold(dfa, capacity=64)
+        assert result.threshold == 63
+        assert result == reference_reset_threshold(dfa, capacity=64)
+
+    def test_state_set_wider_than_eight_bytes(self):
+        n = 70
+        rotate = tuple((q + 1) % n for q in range(n))
+        fold = tuple(min(q, n - 1 - q) for q in range(n))
+        dfa = Dfa(n, ("r", "f"), (rotate, fold))
+        result = reset_threshold(dfa, capacity=n)
+        assert result.threshold == 41
+        assert verify_reset_word(dfa, result.witness)
+        assert result == reference_reset_threshold(dfa, capacity=n)
+        budget = SearchBudget(max_subsets=300)
+        assert reset_threshold(dfa, budget, n) == reference_reset_threshold(
+            dfa, budget, n
+        )
 
 
 class TestVerifyResetWord:

@@ -205,6 +205,20 @@ class TestErrors:
         assert main(["analyze", "/nonexistent/a.saf"]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    def test_non_utf8_file_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "utf16.saf"
+        path.write_bytes(b"\xff\xfeS\x00A\x00F\x00 \x001\x00\n\x00")
+        assert main(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "not UTF-8" in err
+
+    def test_non_utf8_stdin_is_a_usage_error(self, monkeypatch, capsys):
+        raw = io.BytesIO(b"\xff\xfeSAF 1\n")
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(raw, encoding="utf-8"))
+        assert main(["shortest-word", "-"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "not UTF-8" in err
+
     def test_malformed_saf_reports_line(self, tmp_path, capsys):
         path = tmp_path / "bad.saf"
         path.write_text("SAF 1\n3 1\nr 0 1 7\n", encoding="utf-8")
