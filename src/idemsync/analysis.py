@@ -1,12 +1,14 @@
 """Synchronization analysis: decision, exact thresholds, witness words.
 
 Two complementary engines live here.  :func:`is_synchronizing` runs the
-polynomial pair-merging test and never explores subsets.
-:func:`reset_threshold` performs a breadth-first search over the power
-automaton, starting from the full state set, and returns the exact
-threshold together with the lexicographically least shortest reset word.
-The search is budgeted; the pair test runs first so non-synchronizing
-inputs never trigger an exponential walk.
+polynomial pair-merging test and never explores subsets: it closes the
+merged pairs backward over per-letter inverse lists, keeps one flag per
+ordered pair in an ``n**2``-byte table, and stops as soon as every pair
+is merged.  :func:`reset_threshold` performs a breadth-first search
+over the power automaton, starting from the full state set, and returns
+the exact threshold together with the lexicographically least shortest
+reset word.  The search is budgeted; the pair test runs first so
+non-synchronizing inputs never trigger an exponential walk.
 
 The search is level-synchronous.  Subsets are bit sets, and the image of
 a whole level under a letter is computed from per-letter lookup tables,
@@ -33,10 +35,8 @@ from operator import or_
 
 from .core import (
     Dfa,
-    StateSet,
     UsageError,
     Word,
-    image_of_set,
     find_sinks,
     is_idempotent_letter,
     is_strongly_connected,
@@ -110,40 +110,49 @@ def is_synchronizing(dfa: Dfa) -> bool:
     """Decide synchronizability by merging state pairs.
 
     An automaton synchronizes exactly when every pair of states can be
-    mapped to a single state by some word.  The check runs backward
-    closure on the pair graph in ``O(k * n**2)`` pair steps and needs no
-    budget.
+    mapped to a single state by some word.  The check closes the merged
+    pairs backward: per-letter inverse lists name the states each letter
+    sends to a state, so a merged pair ``(u, v)`` and a letter ``j``
+    yield the merged pairs ``(p, q)`` with ``p`` in ``j``'s preimage of
+    ``u`` and ``q`` in its preimage of ``v``.  Starting from the
+    diagonal, the first pairs found are those that one letter merges.
+    Each pair is expanded once, in ``O(k * n**2)`` steps; the side
+    tables are the ``O(k * n)`` inverse lists and one ``n**2``-byte
+    table of merged flags.  The closure stops as soon as every pair is
+    merged, and it needs no budget.
     """
     n = dfa.n
     if n == 1:
         return True
-    mergeable = [False] * (n * n)
-    reverse: dict[int, list[int]] = {}
-    queue: list[int] = []
-    for p in range(n):
-        for q in range(p + 1, n):
-            pair = p * n + q
-            direct = False
-            for row in dfa.delta:
-                u, v = row[p], row[q]
-                if u == v:
-                    direct = True
-                    continue
-                if u > v:
-                    u, v = v, u
-                reverse.setdefault(u * n + v, []).append(pair)
-            if direct:
-                mergeable[pair] = True
-                queue.append(pair)
-    while queue:
-        target = queue.pop()
-        for pair in reverse.get(target, ()):
-            if not mergeable[pair]:
-                mergeable[pair] = True
-                queue.append(pair)
-    return all(
-        mergeable[p * n + q] for p in range(n) for q in range(p + 1, n)
-    )
+    inverses = []
+    for row in dfa.delta:
+        inverse: list[list[int]] = [[] for _ in range(n)]
+        for p, t in enumerate(row):
+            inverse[t].append(p)
+        inverses.append(inverse)
+    # merged[p * n + q] is set, symmetrically, once (p, q) is merged
+    merged = bytearray(n * n)
+    merged[:: n + 1] = b"\x01" * n
+    stack = array("q", range(0, n * n, n + 1))
+    pop = stack.pop
+    push = stack.append
+    unmerged = n * (n - 1)  # ordered pairs of distinct states
+    while stack:
+        u, v = divmod(pop(), n)
+        for inverse in inverses:
+            sources = inverse[v]
+            if not sources:
+                continue
+            for p in inverse[u]:
+                base = p * n
+                for q in sources:
+                    if not merged[base + q]:
+                        merged[base + q] = merged[q * n + p] = 1
+                        push(base + q)
+                        unmerged -= 2
+                        if not unmerged:
+                            return True
+    return False
 
 
 def reset_threshold(
@@ -260,8 +269,18 @@ def _byte_tables(row: tuple[int, ...]) -> list[list[int]]:
 
 
 def verify_reset_word(dfa: Dfa, word: Word) -> bool:
-    """True when ``word`` maps the full state set to a single state."""
-    return len(image_of_set(dfa, StateSet.full(dfa.n), word)) == 1
+    """True when ``word`` maps the full state set to a single state.
+
+    Raises ``UsageError`` on a letter index outside the alphabet, even
+    after the image has shrunk to one state.
+    """
+    k = dfa.k
+    image = set(range(dfa.n))
+    for j in word:
+        if not 0 <= j < k:
+            raise UsageError(f"letter index {j} leaves [0, {k})")
+        image = set(map(dfa.delta[j].__getitem__, image))
+    return len(image) == 1
 
 
 def is_proper(dfa: Dfa) -> bool:

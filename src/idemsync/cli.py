@@ -18,11 +18,21 @@ from typing import Sequence
 
 from .analysis import (
     DEFAULT_BUDGET,
+    DEFAULT_CAPACITY,
     SearchBudget,
-    analyze_automaton,
+    is_synchronizing,
     reset_threshold,
 )
-from .core import Dfa, UsageError, word_from_names, word_to_names
+from .core import (
+    Dfa,
+    UsageError,
+    find_sinks,
+    is_idempotent_letter,
+    is_strongly_connected,
+    letter_rank,
+    word_from_names,
+    word_to_names,
+)
 from .dot import export_dot
 from .generators import (
     NotInImage,
@@ -91,24 +101,35 @@ def _cmd_transform(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     dfa = _read_dfa(args.file)
-    report = analyze_automaton(dfa, _budget(args))
-    print(f"states: {report.n}")
-    print(f"letters: {' '.join(report.letters)}")
-    for name, rank, idem in zip(
-        report.letters, report.letter_ranks, report.letter_idempotent
-    ):
-        print(f"letter {name}: rank={rank} idempotent={str(idem).lower()}")
-    print(f"sinks: {' '.join(map(str, report.sinks)) if report.sinks else '-'}")
-    print(f"strongly_connected: {str(report.strongly_connected).lower()}")
-    sync = report.sync
-    print(f"synchronizing: {str(sync.synchronizing).lower()}")
+    budget = _budget(args)
+    print(f"states: {dfa.n}")
+    print(f"letters: {' '.join(dfa.letters)}")
+    for j, name in enumerate(dfa.letters):
+        idem = _flag(is_idempotent_letter(dfa, j))
+        print(f"letter {name}: rank={letter_rank(dfa, j)} idempotent={idem}")
+    sinks = find_sinks(dfa).members()
+    print(f"sinks: {' '.join(map(str, sinks)) if sinks else '-'}")
+    print(f"strongly_connected: {_flag(is_strongly_connected(dfa))}")
+    if dfa.n > DEFAULT_CAPACITY:
+        print(f"synchronizing: {_flag(is_synchronizing(dfa))}")
+        print(
+            f"search: skipped ({dfa.n} states exceed the subset-search "
+            f"capacity {DEFAULT_CAPACITY})"
+        )
+        return 0
+    sync = reset_threshold(dfa, budget)
+    print(f"synchronizing: {_flag(sync.synchronizing)}")
     if sync.synchronizing:
         print(f"reset_threshold: {sync.threshold}")
         names = word_to_names(dfa, sync.witness)
         print(f"shortest_reset_word: {' '.join(names) if names else '(empty)'}")
     print(f"states_explored: {sync.states_explored}")
-    print(f"truncated: {str(sync.truncated).lower()}")
+    print(f"truncated: {_flag(sync.truncated)}")
     return 0
+
+
+def _flag(value: bool) -> str:
+    return str(value).lower()
 
 
 def _cmd_shortest_word(args: argparse.Namespace) -> int:

@@ -265,44 +265,37 @@ def find_sinks(dfa: Dfa) -> StateSet:
 
 
 def is_strongly_connected(dfa: Dfa) -> bool:
-    """True when every state is reachable from every other state."""
+    """True when every state is reachable from every other state.
+
+    Equivalently, state 0 reaches every state along the transitions and
+    along the reversed transitions.
+    """
     n = dfa.n
     if n == 1:
         return True
-    if _reach_count(dfa.delta, n) < n:
+    if not _reaches_all(list(zip(*dfa.delta))):
         return False
-    reverse: list[list[int]] = [[] for _ in range(n)]
+    inverse: list[list[int]] = [[] for _ in range(n)]
     for row in dfa.delta:
         for q, t in enumerate(row):
-            reverse[t].append(q)
-    seen = [False] * n
+            inverse[t].append(q)
+    return _reaches_all(inverse)
+
+
+def _reaches_all(adjacency: Sequence[Sequence[int]]) -> bool:
+    """True when state 0 reaches every state, ``adjacency[q]`` listing
+    the successors of ``q``."""
+    seen = [False] * len(adjacency)
     seen[0] = True
     stack = [0]
     count = 1
     while stack:
-        q = stack.pop()
-        for p in reverse[q]:
-            if not seen[p]:
-                seen[p] = True
-                count += 1
-                stack.append(p)
-    return count == n
-
-
-def _reach_count(delta: tuple[tuple[int, ...], ...], n: int) -> int:
-    seen = [False] * n
-    seen[0] = True
-    stack = [0]
-    count = 1
-    while stack:
-        q = stack.pop()
-        for row in delta:
-            t = row[q]
+        for t in adjacency[stack.pop()]:
             if not seen[t]:
                 seen[t] = True
                 count += 1
                 stack.append(t)
-    return count
+    return count == len(adjacency)
 
 
 def subautomaton(dfa: Dfa, s: StateSet) -> Dfa:

@@ -7,13 +7,16 @@ connected instance is either the two-state flip-flop or not
 synchronizing at all (exhibiting an alternating cycle as the obstacle),
 and :func:`synchronize_sink_2idem` builds a reset word of length
 ``n - 1`` for the unique-sink case by repeatedly peeling off a state
-without predecessors.
+without predecessors, the lowest-index one when there is a choice.  The
+peeling counts in-degrees once and keeps the predecessor-free states in
+a min-heap, so it takes ``O(k * n log n)`` steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heappop, heappush
 
 from .core import (
     Dfa,
@@ -118,15 +121,21 @@ def classify_strongly_connected_2idem(dfa: Dfa) -> TwoIdemClassification:
     )
 
 
-def predecessor_free_states(dfa: Dfa) -> StateSet:
-    """States that are not the image of any other state under any letter."""
-    has_pred = [False] * dfa.n
+def _in_degrees(dfa: Dfa) -> list[int]:
+    """Per state, the transitions from other states into it, counted
+    once per letter and source."""
+    degree = [0] * dfa.n
     for row in dfa.delta:
         for p, q in enumerate(row):
             if q != p:
-                has_pred[q] = True
+                degree[q] += 1
+    return degree
+
+
+def predecessor_free_states(dfa: Dfa) -> StateSet:
+    """States that are not the image of any other state under any letter."""
     return StateSet.of(
-        (q for q in range(dfa.n) if not has_pred[q]), dfa.n
+        (q for q, degree in enumerate(_in_degrees(dfa)) if not degree), dfa.n
     )
 
 
@@ -138,7 +147,11 @@ def synchronize_sink_2idem(dfa: Dfa) -> Word:
     ones (lowest index when there is a choice) and emits the first
     letter that moves it; the removed state's image stays inside the
     remainder, so the concatenated letters drive everything into the
-    sink.  The constructed word is verified before being returned.
+    sink.  In-degrees are counted once; the predecessor-free non-sink
+    states wait in a min-heap, which keeps the lowest-index choice, and
+    removing a state decrements the in-degrees of its images, so the
+    peeling takes ``O(k * n log n)`` steps.  The constructed word is
+    verified before being returned.
 
     Raises ``UsageError`` when the automaton does not have exactly two
     idempotent letters and a unique sink, and
@@ -155,32 +168,25 @@ def synchronize_sink_2idem(dfa: Dfa) -> Word:
         raise UsageError(f"expected a unique sink, found {len(sinks)}")
     sink = sinks[0]
 
-    alive = [True] * dfa.n
-    remaining = dfa.n
+    in_degree = _in_degrees(dfa)
+    # ascending, hence already a heap
+    free = [q for q, degree in enumerate(in_degree) if not degree and q != sink]
     word = []
-    while remaining > 1:
-        has_pred = [False] * dfa.n
-        for row in dfa.delta:
-            for p in range(dfa.n):
-                if alive[p] and row[p] != p:
-                    has_pred[row[p]] = True
-        free = next(
-            (
-                q
-                for q in range(dfa.n)
-                if alive[q] and q != sink and not has_pred[q]
-            ),
-            None,
-        )
-        if free is None:
+    for _ in range(dfa.n - 1):
+        if not free:
             raise ContradictionError(
                 "every remaining state has a predecessor; "
                 "the automaton is not synchronizing"
             )
-        mover = next(j for j in range(2) if dfa.delta[j][free] != free)
-        word.append(mover)
-        alive[free] = False
-        remaining -= 1
+        q = heappop(free)
+        images = [row[q] for row in dfa.delta]
+        # q is not the sink, so some letter moves it
+        word.append(0 if images[0] != q else 1)
+        for t in images:
+            if t != q:
+                in_degree[t] -= 1
+                if not in_degree[t] and t != sink:
+                    heappush(free, t)
     result = tuple(word)
     if not verify_reset_word(dfa, result):
         raise RuntimeError("constructed word failed verification")

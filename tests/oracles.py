@@ -3,9 +3,14 @@
 Nothing here shares code paths with the library's search or decision
 procedures: the reset oracle enumerates words, the connectivity oracle
 runs one reachability sweep per state, and the helpers build inputs with
-known structure by construction.  The one exception is
-:func:`reference_reset_threshold`, the library's earlier subset search
-kept as a differential reference; it reuses only the pair test.
+known structure by construction.  The exceptions are the library's
+earlier engines, kept verbatim as differential references:
+:func:`reference_reset_threshold` (the subset search, which reuses only
+the pair test), :func:`reference_is_synchronizing` (the pair test over a
+reverse dict of pair predecessors) and
+:func:`reference_synchronize_sink_2idem` (peeling by rescanning every
+predecessor each round, which reuses the library's preconditions and
+word check).
 """
 
 from __future__ import annotations
@@ -15,11 +20,15 @@ import random
 from idemsync import (
     DEFAULT_BUDGET,
     DEFAULT_CAPACITY,
+    ContradictionError,
     Dfa,
     SearchBudget,
     SyncResult,
     UsageError,
+    find_sinks,
+    is_idempotent_letter,
     is_synchronizing,
+    verify_reset_word,
 )
 
 
@@ -183,3 +192,83 @@ def _walk_back(
         word.append(j)
     word.reverse()
     return tuple(word)
+
+
+def reference_is_synchronizing(dfa: Dfa) -> bool:
+    """The earlier ``is_synchronizing``: every pair's successor pairs are
+    inverted into a dict of lists before any pair is merged."""
+    n = dfa.n
+    if n == 1:
+        return True
+    mergeable = [False] * (n * n)
+    reverse: dict[int, list[int]] = {}
+    queue: list[int] = []
+    for p in range(n):
+        for q in range(p + 1, n):
+            pair = p * n + q
+            direct = False
+            for row in dfa.delta:
+                u, v = row[p], row[q]
+                if u == v:
+                    direct = True
+                    continue
+                if u > v:
+                    u, v = v, u
+                reverse.setdefault(u * n + v, []).append(pair)
+            if direct:
+                mergeable[pair] = True
+                queue.append(pair)
+    while queue:
+        target = queue.pop()
+        for pair in reverse.get(target, ()):
+            if not mergeable[pair]:
+                mergeable[pair] = True
+                queue.append(pair)
+    return all(
+        mergeable[p * n + q] for p in range(n) for q in range(p + 1, n)
+    )
+
+
+def reference_synchronize_sink_2idem(dfa: Dfa) -> tuple[int, ...]:
+    """The earlier ``synchronize_sink_2idem``: each round rescans the
+    predecessors of every remaining state."""
+    if dfa.k != 2:
+        raise UsageError(f"expected exactly 2 letters, got {dfa.k}")
+    for j in range(2):
+        if not is_idempotent_letter(dfa, j):
+            raise UsageError(f"letter {dfa.letters[j]!r} is not idempotent")
+    sinks = find_sinks(dfa).members()
+    if len(sinks) != 1:
+        raise UsageError(f"expected a unique sink, found {len(sinks)}")
+    sink = sinks[0]
+
+    alive = [True] * dfa.n
+    remaining = dfa.n
+    word = []
+    while remaining > 1:
+        has_pred = [False] * dfa.n
+        for row in dfa.delta:
+            for p in range(dfa.n):
+                if alive[p] and row[p] != p:
+                    has_pred[row[p]] = True
+        free = next(
+            (
+                q
+                for q in range(dfa.n)
+                if alive[q] and q != sink and not has_pred[q]
+            ),
+            None,
+        )
+        if free is None:
+            raise ContradictionError(
+                "every remaining state has a predecessor; "
+                "the automaton is not synchronizing"
+            )
+        mover = next(j for j in range(2) if dfa.delta[j][free] != free)
+        word.append(mover)
+        alive[free] = False
+        remaining -= 1
+    result = tuple(word)
+    if not verify_reset_word(dfa, result):
+        raise RuntimeError("constructed word failed verification")
+    return result

@@ -43,3 +43,29 @@ def dfas_with_budgets(
     max_subsets = draw(unlimited | st.integers(1, 4096))
     max_depth = draw(st.none() | st.integers(1, 40))
     return dfa, SearchBudget(max_subsets, max_depth)
+
+
+@st.composite
+def idempotent_sink_dfas(draw, max_n: int = 40) -> Dfa:
+    """Two idempotent letters and a unique sink.
+
+    Every state but the sink is fixed by at most one letter, and each
+    letter sends the states it does not fix to states it fixes, so both
+    letters are idempotent and the sink is their only common fixed
+    point.  Synchronizing and non-synchronizing instances both occur.
+    """
+    n = draw(st.integers(1, max_n))
+    sink = draw(st.integers(0, n - 1))
+    # fixer[q]: the letter fixing q (0 or 1), 2 for neither; both fix the sink
+    fixer = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    fixer[sink] = None
+    rows = []
+    for j in range(2):
+        fixed = [q for q in range(n) if fixer[q] in (j, None)]
+        rows.append(
+            tuple(
+                q if fixer[q] in (j, None) else draw(st.sampled_from(fixed))
+                for q in range(n)
+            )
+        )
+    return Dfa(n, ("a", "b"), tuple(rows))

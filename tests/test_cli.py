@@ -100,6 +100,36 @@ class TestAnalyze:
         monkeypatch.setenv("IDEMSYNC_MAX_SUBSETS", "lots")
         assert main(["analyze", path]) == 2
 
+    def test_over_capacity_ladder_skips_the_search(self, capsys, monkeypatch):
+        assert main(["gen", "ladder", "-n", "100"]) == 0
+        monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
+        assert main(["analyze", "-"]) == 0
+        assert capsys.readouterr().out == (
+            "states: 100\n"
+            "letters: a b\n"
+            "letter a: rank=51 idempotent=true\n"
+            "letter b: rank=50 idempotent=true\n"
+            "sinks: 99\n"
+            "strongly_connected: false\n"
+            "synchronizing: true\n"
+            "search: skipped (100 states exceed the subset-search capacity 63)\n"
+        )
+
+    def test_over_capacity_non_synchronizing(self, tmp_path, capsys):
+        cycle = " ".join(str((q + 1) % 100) for q in range(100))
+        path = tmp_path / "cycle.saf"
+        path.write_text(f"SAF 1\n100 1\nr {cycle}\n", encoding="utf-8")
+        assert main(["analyze", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            "states: 100\n"
+            "letters: r\n"
+            "letter r: rank=100 idempotent=false\n"
+            "sinks: -\n"
+            "strongly_connected: true\n"
+            "synchronizing: false\n"
+            "search: skipped (100 states exceed the subset-search capacity 63)\n"
+        )
+
 
 class TestShortestWord:
     def test_cerny3_witness(self, tmp_path, capsys):
@@ -165,6 +195,14 @@ class TestSynchronize:
         path.write_text("SAF 1\n5 2\na 1 1 3 3 4\nb 0 2 2 0 4\n", encoding="utf-8")
         assert main(["synchronize", "--idem2", str(path)]) == 2
         assert "not synchronizing" in capsys.readouterr().err
+
+    def test_large_ladder_pipeline(self, capsys, monkeypatch):
+        assert main(["gen", "ladder", "-n", "3000"]) == 0
+        monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
+        assert main(["synchronize", "--idem2", "-"]) == 0
+        letters = capsys.readouterr().out.split()
+        assert len(letters) == 2999
+        assert letters[:4] == ["b", "a", "b", "a"]
 
 
 class TestExportDot:

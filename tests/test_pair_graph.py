@@ -1,0 +1,124 @@
+"""The pair-graph routines against their earlier implementations.
+
+``is_synchronizing``, ``synchronize_sink_2idem`` and
+``verify_reset_word`` must give exactly the answers of the engines they
+replaced, kept in ``oracles.py``: the same decision, the same
+lowest-free-index word, the same errors.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from idemsync import (
+    ContradictionError,
+    Dfa,
+    StateSet,
+    UsageError,
+    gen_flipflop,
+    gen_ladder,
+    gen_random_dfa,
+    gen_random_idempotent,
+    image_of_set,
+    is_synchronizing,
+    synchronize_sink_2idem,
+    verify_reset_word,
+)
+from oracles import reference_is_synchronizing, reference_synchronize_sink_2idem
+from strategies import dfas, dfas_with_words, idempotent_sink_dfas
+
+
+def peel_outcome(synchronize, dfa):
+    """The word, or the type of the error raised."""
+    try:
+        return synchronize(dfa)
+    except (ContradictionError, UsageError) as exc:
+        return type(exc)
+
+
+def relabel(dfa: Dfa, seed: int) -> Dfa:
+    perm = list(range(dfa.n))
+    random.Random(seed).shuffle(perm)
+    rows = []
+    for row in dfa.delta:
+        new = [0] * dfa.n
+        for q, t in enumerate(row):
+            new[perm[q]] = perm[t]
+        rows.append(tuple(new))
+    return Dfa(dfa.n, dfa.letters, tuple(rows))
+
+
+def sweep_case(index: int) -> Dfa:
+    """One of 50 seeded automata on 100..300 states: uniform random,
+    random idempotent or a relabelled ladder, by ``index`` mod 3."""
+    rng = random.Random(f"pair-graph-sweep:{index}")
+    n = rng.randrange(100, 301)
+    seed = rng.randrange(1 << 32)
+    if index % 3 == 0:
+        return gen_random_dfa(n, rng.randrange(1, 4), seed)
+    if index % 3 == 1:
+        return gen_random_idempotent(n, rng.randrange(2, 4), seed)
+    return relabel(gen_ladder(n), seed)
+
+
+class TestPairTest:
+    @settings(max_examples=200, deadline=None)
+    @given(dfas(max_n=24, max_k=4))
+    def test_matches_reference(self, dfa):
+        assert is_synchronizing(dfa) == reference_is_synchronizing(dfa)
+
+
+class TestPeeling:
+    @settings(max_examples=200, deadline=None)
+    @given(idempotent_sink_dfas())
+    def test_matches_reference(self, dfa):
+        assert peel_outcome(synchronize_sink_2idem, dfa) == peel_outcome(
+            reference_synchronize_sink_2idem, dfa
+        )
+
+    def test_strategy_yields_both_outcomes(self):
+        outcomes = set()
+
+        @settings(max_examples=100, deadline=None, database=None)
+        @given(idempotent_sink_dfas())
+        def collect(dfa):
+            outcomes.add(isinstance(peel_outcome(synchronize_sink_2idem, dfa), tuple))
+
+        collect()
+        assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("index", range(50))
+def test_seeded_sweep_matches_reference(index):
+    dfa = sweep_case(index)
+    assert is_synchronizing(dfa) == reference_is_synchronizing(dfa)
+    assert peel_outcome(synchronize_sink_2idem, dfa) == peel_outcome(
+        reference_synchronize_sink_2idem, dfa
+    )
+
+
+class TestVerifyResetWord:
+    @settings(max_examples=100, deadline=None)
+    @given(dfas_with_words(max_n=8, max_k=3, max_len=12))
+    def test_matches_set_image(self, case):
+        dfa, word = case
+        expected = len(image_of_set(dfa, StateSet.full(dfa.n), word)) == 1
+        assert verify_reset_word(dfa, word) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(dfas_with_words(max_n=8, max_k=3, max_len=12), st.data())
+    def test_out_of_range_letter_raises(self, case, data):
+        dfa, word = case
+        bad = data.draw(st.sampled_from((-1, dfa.k)))
+        at = data.draw(st.integers(0, len(word)))
+        with pytest.raises(UsageError):
+            verify_reset_word(dfa, word[:at] + (bad,) + word[at:])
+
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_out_of_range_letter_raises_after_a_singleton(self, bad):
+        dfa = gen_flipflop()
+        assert verify_reset_word(dfa, (0, 1))
+        with pytest.raises(UsageError):
+            verify_reset_word(dfa, (0, 1, bad))
