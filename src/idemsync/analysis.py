@@ -37,6 +37,7 @@ from .core import (
     Dfa,
     UsageError,
     Word,
+    _sink_list,
     find_sinks,
     is_idempotent_letter,
     is_strongly_connected,
@@ -119,11 +120,15 @@ def is_synchronizing(dfa: Dfa) -> bool:
     Each pair is expanded once, in ``O(k * n**2)`` steps; the side
     tables are the ``O(k * n)`` inverse lists and one ``n**2``-byte
     table of merged flags.  The closure stops as soon as every pair is
-    merged, and it needs no budget.
+    merged, and it needs no budget.  Two distinct sinks never merge, so
+    an automaton with two of them is rejected in ``O(k * n)`` steps,
+    before the table is allocated.
     """
     n = dfa.n
     if n == 1:
         return True
+    if len(_sink_list(dfa)) > 1:
+        return False
     inverses = []
     for row in dfa.delta:
         inverse: list[list[int]] = [[] for _ in range(n)]

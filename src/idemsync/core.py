@@ -151,12 +151,13 @@ class StateSet:
 
     @classmethod
     def of(cls, states: Iterable[int], n: int) -> "StateSet":
-        bits = 0
+        # set bits in little-endian bytes, in O(1) each, and convert once
+        packed = bytearray((max(n, 0) + 7) // 8)
         for q in states:
             if not 0 <= q < n:
                 raise UsageError(f"state {q} leaves [0, {n})")
-            bits |= 1 << q
-        return cls(bits, n)
+            packed[q >> 3] |= 1 << (q & 7)
+        return cls(int.from_bytes(packed, "little"), n)
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -165,11 +166,10 @@ class StateSet:
         return 0 <= q < self.n and self.bits >> q & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
+        # one O(n) pass over the binary digits, lowest bit first
+        for q, digit in enumerate(bin(self.bits)[:1:-1]):
+            if digit == "1":
+                yield q
 
     def members(self) -> tuple[int, ...]:
         """Members in ascending order."""
@@ -258,10 +258,16 @@ def is_idempotent_word(dfa: Dfa, word: Sequence[int]) -> bool:
 
 def find_sinks(dfa: Dfa) -> StateSet:
     """States fixed by every letter."""
-    return StateSet.of(
-        (q for q in range(dfa.n) if all(row[q] == q for row in dfa.delta)),
-        dfa.n,
-    )
+    return StateSet.of(_sink_list(dfa), dfa.n)
+
+
+def _sink_list(dfa: Dfa) -> list[int]:
+    """States fixed by every letter, ascending, in ``O(k * n)`` steps
+    and without building a :class:`StateSet`."""
+    fixed: Iterable[int] = range(dfa.n)
+    for row in dfa.delta:
+        fixed = [q for q in fixed if row[q] == q]
+    return list(fixed)
 
 
 def is_strongly_connected(dfa: Dfa) -> bool:

@@ -18,14 +18,21 @@ def export_dot(dfa: Dfa) -> str:
     output is bit-identical across runs.
     """
     lines = ["digraph automaton {", "  rankdir=LR;", "  node [shape=circle];"]
-    for q in range(dfa.n):
-        lines.append(f"  {q} [label={_quote(str(q))}];")
-    for q in range(dfa.n):
-        by_target: dict[int, list[str]] = {}
-        for name, row in zip(dfa.letters, dfa.delta):
-            by_target.setdefault(row[q], []).append(name)
-        for target in sorted(by_target):
-            label = ",".join(by_target[target])
-            lines.append(f"  {q} -> {target} [label={_quote(label)}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    # state numbers are digits, which need no escaping
+    lines.extend(f'  {q} [label="{q}"];' for q in range(dfa.n))
+    # quoted edge label for each tuple of letter indices, built once
+    labels: dict[tuple[int, ...], str] = {}
+    for q, column in enumerate(zip(*dfa.delta)):
+        by_target: dict[int, list[int]] = {}
+        for j, target in enumerate(column):
+            by_target.setdefault(target, []).append(j)
+        for target, indices in sorted(by_target.items()):
+            key = tuple(indices)
+            label = labels.get(key)
+            if label is None:
+                label = labels[key] = _quote(",".join(dfa.letters[j] for j in key))
+            lines.append(f"  {q} -> {target} [label={label}];")
+    # the closing line carries the final newline: one join, and no
+    # second full copy of the text at the point of peak memory
+    lines.append("}\n")
+    return "\n".join(lines)

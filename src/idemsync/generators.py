@@ -185,12 +185,15 @@ def gen_random_idempotent(n: int, k: int, seed: int) -> Dfa:
     if k < 1:
         raise UsageError(f"need at least 1 letter, got {k}")
     rng = random.Random(seed)
+    choice = rng.choice
     rows = []
     for _ in range(k):
-        bits = rng.randrange(1, 1 << n)
-        image = [q for q in range(n) if bits >> q & 1]
+        # flags[q] is "1" when bit q of the image set is set; reading
+        # all n bits at once keeps the letter linear in n
+        flags = format(rng.randrange(1, 1 << n), f"0{n}b")[::-1]
+        image = [q for q, flag in enumerate(flags) if flag == "1"]
         rows.append(
-            tuple(q if bits >> q & 1 else rng.choice(image) for q in range(n))
+            tuple(q if flag == "1" else choice(image) for q, flag in enumerate(flags))
         )
     return Dfa(n, tuple(f"x{j + 1}" for j in range(k)), tuple(rows))
 

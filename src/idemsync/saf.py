@@ -92,5 +92,8 @@ def render_automaton(dfa: Dfa) -> str:
     """Canonical SAF text for an automaton; stable across runs."""
     lines = ["SAF 1", f"{dfa.n} {dfa.k}"]
     for name, row in zip(dfa.letters, dfa.delta):
-        lines.append(name + " " + " ".join(str(t) for t in row))
-    return "\n".join(lines) + "\n"
+        lines.append(name + " " + " ".join(map(str, row)))
+    # an empty last line gives the final newline: one join, and no
+    # second full copy of the text at the point of peak memory
+    lines.append("")
+    return "\n".join(lines)

@@ -7,10 +7,13 @@ known structure by construction.  The exceptions are the library's
 earlier engines, kept verbatim as differential references:
 :func:`reference_reset_threshold` (the subset search, which reuses only
 the pair test), :func:`reference_is_synchronizing` (the pair test over a
-reverse dict of pair predecessors) and
+reverse dict of pair predecessors),
 :func:`reference_synchronize_sink_2idem` (peeling by rescanning every
 predecessor each round, which reuses the library's preconditions and
-word check).
+word check), and the text layers :func:`reference_gen_random_idempotent`
+(one bit test per state on the image set),
+:func:`reference_export_dot` (one row lookup per state and letter) and
+:func:`reference_render_automaton`.
 """
 
 from __future__ import annotations
@@ -272,3 +275,50 @@ def reference_synchronize_sink_2idem(dfa: Dfa) -> tuple[int, ...]:
     if not verify_reset_word(dfa, result):
         raise RuntimeError("constructed word failed verification")
     return result
+
+
+def reference_gen_random_idempotent(n: int, k: int, seed: int) -> Dfa:
+    """The earlier ``gen_random_idempotent``: bit ``q`` of the image set
+    is tested on the n-bit integer once per state, twice per letter."""
+    if n < 1:
+        raise UsageError(f"need at least 1 state, got {n}")
+    if k < 1:
+        raise UsageError(f"need at least 1 letter, got {k}")
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(k):
+        bits = rng.randrange(1, 1 << n)
+        image = [q for q in range(n) if bits >> q & 1]
+        rows.append(
+            tuple(q if bits >> q & 1 else rng.choice(image) for q in range(n))
+        )
+    return Dfa(n, tuple(f"x{j + 1}" for j in range(k)), tuple(rows))
+
+
+def _reference_quote(label: str) -> str:
+    return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def reference_export_dot(dfa: Dfa) -> str:
+    """The earlier ``export_dot``: every letter's row is indexed at every
+    state, and every label is quoted where it is written."""
+    lines = ["digraph automaton {", "  rankdir=LR;", "  node [shape=circle];"]
+    for q in range(dfa.n):
+        lines.append(f"  {q} [label={_reference_quote(str(q))}];")
+    for q in range(dfa.n):
+        by_target: dict[int, list[str]] = {}
+        for name, row in zip(dfa.letters, dfa.delta):
+            by_target.setdefault(row[q], []).append(name)
+        for target in sorted(by_target):
+            label = ",".join(by_target[target])
+            lines.append(f"  {q} -> {target} [label={_reference_quote(label)}];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_render_automaton(dfa: Dfa) -> str:
+    """The earlier ``render_automaton``: targets formatted by a generator."""
+    lines = ["SAF 1", f"{dfa.n} {dfa.k}"]
+    for name, row in zip(dfa.letters, dfa.delta):
+        lines.append(name + " " + " ".join(str(t) for t in row))
+    return "\n".join(lines) + "\n"

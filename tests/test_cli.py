@@ -130,6 +130,19 @@ class TestAnalyze:
             "search: skipped (100 states exceed the subset-search capacity 63)\n"
         )
 
+    def test_two_sinks_answer_without_the_pair_table(self, capsys, monkeypatch):
+        # the pair table would need 10**10 bytes here; two sinks decide it
+        argv = ["gen", "random-idem", "-n", "100000", "-k", "2", "--seed", "7"]
+        assert main(argv) == 0
+        monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
+        assert main(["analyze", "-"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[-2:] == [
+            "synchronizing: false",
+            "search: skipped (100000 states exceed the subset-search capacity 63)",
+        ]
+
 
 class TestShortestWord:
     def test_cerny3_witness(self, tmp_path, capsys):
