@@ -30,11 +30,13 @@ def describe(title, dfa):
         print(f"  letter {name}: rank {rank}, idempotent {idem}")
     print(f"  sinks: {report.sinks or 'none'}")
     print(f"  strongly connected: {report.strongly_connected}")
-    if report.sync.synchronizing:
+    if not report.synchronizing:
+        print("  not synchronizing")
+    elif report.sync is None:
+        print(f"  synchronizing; {report.n} states are past the exact search")
+    else:
         witness = " ".join(word_to_names(dfa, report.sync.witness)) or "(empty)"
         print(f"  reset threshold: {report.sync.threshold}, witness: {witness}")
-    else:
-        print("  not synchronizing")
     print()
 
 

@@ -14,15 +14,9 @@ from .analysis import (
     DEFAULT_BUDGET,
     DEFAULT_CAPACITY,
     AnalysisReport,
-    Corollary3Report,
-    Lemma1Report,
     SearchBudget,
     SyncResult,
-    Theorem2Report,
     analyze_automaton,
-    check_corollary3,
-    check_lemma1,
-    check_theorem2,
     is_proper,
     is_synchronizing,
     reset_threshold,
@@ -64,7 +58,17 @@ from .generators import (
     gen_random_idempotent,
     higgins_transform,
 )
-from .harness import ClaimRecord, HarnessReport, run_harness
+from .harness import (
+    ClaimRecord,
+    Corollary3Report,
+    HarnessReport,
+    Lemma1Report,
+    Theorem2Report,
+    check_corollary3,
+    check_lemma1,
+    check_theorem2,
+    run_harness,
+)
 from .saf import ParseError, parse_automaton, render_automaton
 from .two_idempotent import (
     ContradictionError,

@@ -21,9 +21,6 @@ these per-level arrays.  Because subsets
 are discovered in frontier order and letters are tried in index order,
 the first singleton found ends the lexicographically least shortest
 reset word.
-
-The ``check_*`` functions package the library's named claims (see the
-verification harness) as one-shot reports.
 """
 
 from __future__ import annotations
@@ -43,7 +40,6 @@ from .core import (
     is_strongly_connected,
     letter_rank,
 )
-from .generators import chi_encode, gen_cerny, higgins_transform
 
 
 @dataclass(frozen=True)
@@ -96,7 +92,13 @@ class SyncResult:
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """Structural and synchronization facts about one automaton."""
+    """Structural and synchronization facts about one automaton.
+
+    ``sync`` is the exact search's result, or ``None`` when the automaton
+    has more states than the search capacity.  ``synchronizing`` is the
+    search's verdict when it ran (false on truncation), and otherwise the
+    pair test's.
+    """
 
     n: int
     letters: tuple[str, ...]
@@ -104,7 +106,8 @@ class AnalysisReport:
     letter_idempotent: tuple[bool, ...]
     sinks: tuple[int, ...]
     strongly_connected: bool
-    sync: SyncResult
+    sync: SyncResult | None
+    synchronizing: bool
 
 
 def is_synchronizing(dfa: Dfa) -> bool:
@@ -316,126 +319,24 @@ def analyze_automaton(
     budget: SearchBudget = DEFAULT_BUDGET,
     capacity: int = DEFAULT_CAPACITY,
 ) -> AnalysisReport:
-    """Collect the standard structural and synchronization facts."""
+    """Collect the standard structural and synchronization facts; past
+    ``capacity`` states the search is skipped and the pair test decides."""
+    ranks, idempotent = _letter_shapes(dfa)
+    sync = reset_threshold(dfa, budget, capacity) if dfa.n <= capacity else None
     return AnalysisReport(
         n=dfa.n,
         letters=dfa.letters,
-        letter_ranks=tuple(letter_rank(dfa, j) for j in range(dfa.k)),
-        letter_idempotent=tuple(
-            is_idempotent_letter(dfa, j) for j in range(dfa.k)
-        ),
+        letter_ranks=ranks,
+        letter_idempotent=idempotent,
         sinks=find_sinks(dfa).members(),
         strongly_connected=is_strongly_connected(dfa),
-        sync=reset_threshold(dfa, budget, capacity),
+        sync=sync,
+        synchronizing=is_synchronizing(dfa) if sync is None else sync.synchronizing,
     )
 
 
-@dataclass(frozen=True)
-class Lemma1Report:
-    """Shape facts about a doubled automaton: idempotency and half rank."""
-
-    base_n: int
-    letter_ranks: tuple[int, ...]
-    letter_idempotent: tuple[bool, ...]
-    ok: bool
-
-
-def check_lemma1(dfa: Dfa) -> Lemma1Report:
-    """Check that every letter of the doubled automaton is an idempotent
-    of rank equal to the base state count."""
-    doubled = higgins_transform(dfa).result
-    ranks = tuple(letter_rank(doubled, j) for j in range(doubled.k))
-    idem = tuple(is_idempotent_letter(doubled, j) for j in range(doubled.k))
-    ok = all(idem) and all(r == dfa.n for r in ranks)
-    return Lemma1Report(dfa.n, ranks, idem, ok)
-
-
-@dataclass(frozen=True)
-class Theorem2Report:
-    """Doubling-transform synchronization facts for one base automaton.
-
-    ``threshold_doubled`` and ``encoded_witness_resets`` are ``None``
-    when the base does not synchronize (there is nothing to double).
-    """
-
-    base: SyncResult
-    transformed: SyncResult
-    sync_agrees: bool
-    threshold_doubled: bool | None
-    encoded_witness_resets: bool | None
-    ok: bool
-
-
-def check_theorem2(
-    dfa: Dfa,
-    budget: SearchBudget = DEFAULT_BUDGET,
-    capacity: int = DEFAULT_CAPACITY,
-) -> Theorem2Report:
-    """Check that doubling preserves synchronizability, exactly doubles
-    the reset threshold, and that the encoded base witness resets the
-    doubled automaton at exactly twice the length."""
-    image = higgins_transform(dfa)
-    base = reset_threshold(dfa, budget, capacity)
-    transformed = reset_threshold(image.result, budget, capacity)
-    sync_agrees = base.synchronizing == transformed.synchronizing
-    threshold_doubled: bool | None = None
-    encoded_resets: bool | None = None
-    if base.synchronizing and transformed.synchronizing:
-        threshold_doubled = transformed.threshold == 2 * base.threshold
-        encoded = chi_encode(image, base.witness)
-        encoded_resets = len(encoded) == 2 * len(base.witness) and verify_reset_word(
-            image.result, encoded
-        )
-    ok = (
-        not base.truncated
-        and not transformed.truncated
-        and sync_agrees
-        and threshold_doubled is not False
-        and encoded_resets is not False
-    )
-    return Theorem2Report(
-        base, transformed, sync_agrees, threshold_doubled, encoded_resets, ok
-    )
-
-
-@dataclass(frozen=True)
-class Corollary3Report:
-    """Facts about the doubling of the classic binary family member:
-    three idempotent letters of half rank, properness, and the
-    threshold ``n**2/2 - 2n + 2``."""
-
-    n: int
-    expected_threshold: int
-    sync: SyncResult
-    letter_ranks: tuple[int, ...]
-    letter_idempotent: tuple[bool, ...]
-    proper: bool
-    ok: bool
-
-
-def check_corollary3(
-    n: int,
-    budget: SearchBudget = DEFAULT_BUDGET,
-    capacity: int = DEFAULT_CAPACITY,
-) -> Corollary3Report:
-    """Build the doubled automaton on ``n`` states (``n`` even, at least
-    4) from the binary family on ``n/2`` states and check its advertised
-    shape: 3 letters, all idempotent of rank ``n/2``, proper, threshold
-    ``n**2/2 - 2n + 2``."""
-    if n < 4 or n % 2 != 0:
-        raise UsageError(f"need an even state count of at least 4, got {n}")
-    doubled = higgins_transform(gen_cerny(n // 2)).result
-    expected = n * n // 2 - 2 * n + 2
-    sync = reset_threshold(doubled, budget, capacity)
-    ranks = tuple(letter_rank(doubled, j) for j in range(doubled.k))
-    idem = tuple(is_idempotent_letter(doubled, j) for j in range(doubled.k))
-    proper = is_proper(doubled)
-    ok = (
-        doubled.k == 3
-        and sync.synchronizing
-        and sync.threshold == expected
-        and all(idem)
-        and all(r == n // 2 for r in ranks)
-        and proper
-    )
-    return Corollary3Report(n, expected, sync, ranks, idem, proper, ok)
+def _letter_shapes(dfa: Dfa) -> tuple[tuple[int, ...], tuple[bool, ...]]:
+    """Every letter's rank, and whether it is idempotent, in letter order."""
+    letters = range(dfa.k)
+    ranks = tuple(letter_rank(dfa, j) for j in letters)
+    return ranks, tuple(is_idempotent_letter(dfa, j) for j in letters)

@@ -20,19 +20,10 @@ from .analysis import (
     DEFAULT_BUDGET,
     DEFAULT_CAPACITY,
     SearchBudget,
-    is_synchronizing,
+    analyze_automaton,
     reset_threshold,
 )
-from .core import (
-    Dfa,
-    UsageError,
-    find_sinks,
-    is_idempotent_letter,
-    is_strongly_connected,
-    letter_rank,
-    word_from_names,
-    word_to_names,
-)
+from .core import Dfa, UsageError, Word, word_from_names, word_to_names
 from .dot import export_dot
 from .generators import (
     NotInImage,
@@ -101,28 +92,26 @@ def _cmd_transform(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     dfa = _read_dfa(args.file)
-    budget = _budget(args)
-    print(f"states: {dfa.n}")
-    print(f"letters: {' '.join(dfa.letters)}")
-    for j, name in enumerate(dfa.letters):
-        idem = _flag(is_idempotent_letter(dfa, j))
-        print(f"letter {name}: rank={letter_rank(dfa, j)} idempotent={idem}")
-    sinks = find_sinks(dfa).members()
-    print(f"sinks: {' '.join(map(str, sinks)) if sinks else '-'}")
-    print(f"strongly_connected: {_flag(is_strongly_connected(dfa))}")
-    if dfa.n > DEFAULT_CAPACITY:
-        print(f"synchronizing: {_flag(is_synchronizing(dfa))}")
+    report = analyze_automaton(dfa, _budget(args))
+    print(f"states: {report.n}")
+    print(f"letters: {' '.join(report.letters)}")
+    for name, rank, idem in zip(
+        report.letters, report.letter_ranks, report.letter_idempotent
+    ):
+        print(f"letter {name}: rank={rank} idempotent={_flag(idem)}")
+    print(f"sinks: {' '.join(map(str, report.sinks)) or '-'}")
+    print(f"strongly_connected: {_flag(report.strongly_connected)}")
+    print(f"synchronizing: {_flag(report.synchronizing)}")
+    sync = report.sync
+    if sync is None:
         print(
-            f"search: skipped ({dfa.n} states exceed the subset-search "
+            f"search: skipped ({report.n} states exceed the subset-search "
             f"capacity {DEFAULT_CAPACITY})"
         )
         return 0
-    sync = reset_threshold(dfa, budget)
-    print(f"synchronizing: {_flag(sync.synchronizing)}")
     if sync.synchronizing:
         print(f"reset_threshold: {sync.threshold}")
-        names = word_to_names(dfa, sync.witness)
-        print(f"shortest_reset_word: {' '.join(names) if names else '(empty)'}")
+        print(f"shortest_reset_word: {_spell(dfa, sync.witness)}")
     print(f"states_explored: {sync.states_explored}")
     print(f"truncated: {_flag(sync.truncated)}")
     return 0
@@ -132,6 +121,11 @@ def _flag(value: bool) -> str:
     return str(value).lower()
 
 
+def _spell(dfa: Dfa, word: Word) -> str:
+    """The word as space-separated letter names, or ``(empty)``."""
+    return " ".join(word_to_names(dfa, word)) or "(empty)"
+
+
 def _cmd_shortest_word(args: argparse.Namespace) -> int:
     dfa = _read_dfa(args.file)
     result = reset_threshold(dfa, _budget(args))
@@ -139,8 +133,7 @@ def _cmd_shortest_word(args: argparse.Namespace) -> int:
         reason = "search truncated by budget" if result.truncated else "not synchronizing"
         print(reason, file=sys.stderr)
         return 1
-    names = word_to_names(dfa, result.witness)
-    print(" ".join(names) if names else "(empty)")
+    print(_spell(dfa, result.witness))
     return 0
 
 
@@ -154,9 +147,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_synchronize(args: argparse.Namespace) -> int:
     dfa = _read_dfa(args.file)
-    word = synchronize_sink_2idem(dfa)
-    names = word_to_names(dfa, word)
-    print(" ".join(names) if names else "(empty)")
+    print(_spell(dfa, synchronize_sink_2idem(dfa)))
     return 0
 
 
@@ -170,17 +161,14 @@ def _cmd_chi(args: argparse.Namespace) -> int:
     image = higgins_transform(base)
     if args.direction == "encode":
         word = word_from_names(base, args.letters)
-        encoded = chi_encode(image, word)
-        names = word_to_names(image.result, encoded)
-        print(" ".join(names) if names else "(empty)")
+        print(_spell(image.result, chi_encode(image, word)))
         return 0
     word = word_from_names(image.result, args.letters)
     decoded = chi_decode(image, word)
     if isinstance(decoded, NotInImage):
         print(f"not-in-image position={decoded.position}")
         return 0
-    names = word_to_names(base, decoded)
-    print(" ".join(names) if names else "(empty)")
+    print(_spell(base, decoded))
     return 0
 
 

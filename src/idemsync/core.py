@@ -217,19 +217,12 @@ def image_of_set(dfa: Dfa, s: StateSet, word: Sequence[int]) -> StateSet:
     """
     if s.n != dfa.n:
         raise UsageError(f"set capacity {s.n} does not match state count {dfa.n}")
-    bits = s.bits
+    image = set(s)
     for j in word:
         if not 0 <= j < dfa.k:
             raise UsageError(f"letter index {j} leaves [0, {dfa.k})")
-        row = dfa.delta[j]
-        img = 0
-        rest = bits
-        while rest:
-            low = rest & -rest
-            img |= 1 << row[low.bit_length() - 1]
-            rest ^= low
-        bits = img
-    return StateSet(bits, dfa.n)
+        image = set(map(dfa.delta[j].__getitem__, image))
+    return StateSet.of(image, dfa.n)
 
 
 def letter_rank(dfa: Dfa, j: int) -> int:
@@ -316,11 +309,11 @@ def subautomaton(dfa: Dfa, s: StateSet) -> Dfa:
     members = s.members()
     if not members:
         raise UsageError("cannot restrict to the empty state set")
+    index = {q: i for i, q in enumerate(members)}
     for q in members:
         for j, row in enumerate(dfa.delta):
-            if row[q] not in s:
+            if row[q] not in index:
                 raise ClosureViolation(q, j, dfa.letters[j], row[q])
-    index = {q: i for i, q in enumerate(members)}
     rows = tuple(tuple(index[row[q]] for q in members) for row in dfa.delta)
     return Dfa(len(members), dfa.letters, rows)
 

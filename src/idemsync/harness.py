@@ -1,11 +1,13 @@
 """Verification harness: the library's named claims as a report suite.
 
-Each claim checks one quantitative fact about the shipped automaton
-families, at the exact values, and produces one record per checked
-parameter.  Records marked informative document measurements that are
-reported but intentionally not gated (the generalization of the
-``gusev7`` construction to other odd sizes is a hypothesis, so sizes
-other than 7 never fail the suite).
+The harness owns the checks of the paper's claims: :func:`check_lemma1`,
+:func:`check_theorem2` and :func:`check_corollary3` return one-shot
+reports for Lemma 1, Theorem 2 and Corollary 3.  Each claim checks one
+quantitative fact about the shipped automaton families, at the exact
+values, and produces one record per checked parameter.  Records marked
+informative document measurements that are reported but intentionally
+not gated (the generalization of the ``gusev7`` construction to other
+odd sizes is a hypothesis, so sizes other than 7 never fail the suite).
 
 Claim ids: ``cerny``, ``lemma1``, ``thm2``, ``cor3``, ``prop5``,
 ``ladder``, ``gusev7``.
@@ -21,20 +23,24 @@ from typing import Callable, Iterable, Sequence
 
 from .analysis import (
     DEFAULT_BUDGET,
+    DEFAULT_CAPACITY,
     SearchBudget,
-    check_corollary3,
-    check_lemma1,
-    check_theorem2,
+    SyncResult,
+    _letter_shapes,
+    is_proper,
     is_synchronizing,
     reset_threshold,
+    verify_reset_word,
 )
-from .core import UsageError
+from .core import Dfa, UsageError
 from .generators import (
+    chi_encode,
     gen_cerny,
     gen_gusev_like,
     gen_ladder,
     gen_random_dfa,
     gen_random_idempotent,
+    higgins_transform,
 )
 
 # Frozen transition table of the 7-state near-idempotent automaton; the
@@ -46,6 +52,114 @@ LEMMA1_SAMPLES = 200
 LEMMA1_SEED = 11
 PROP5_SAMPLES = 500
 PROP5_SEED = 55
+
+
+@dataclass(frozen=True)
+class Lemma1Report:
+    """Shape facts about a doubled automaton: idempotency and half rank."""
+
+    base_n: int
+    letter_ranks: tuple[int, ...]
+    letter_idempotent: tuple[bool, ...]
+    ok: bool
+
+
+def check_lemma1(dfa: Dfa) -> Lemma1Report:
+    """Check that every letter of the doubled automaton is an idempotent
+    of rank equal to the base state count."""
+    ranks, idem = _letter_shapes(higgins_transform(dfa).result)
+    ok = all(idem) and all(r == dfa.n for r in ranks)
+    return Lemma1Report(dfa.n, ranks, idem, ok)
+
+
+@dataclass(frozen=True)
+class Theorem2Report:
+    """Doubling-transform synchronization facts for one base automaton.
+
+    ``threshold_doubled`` and ``encoded_witness_resets`` are ``None``
+    when the base does not synchronize (there is nothing to double).
+    """
+
+    base: SyncResult
+    transformed: SyncResult
+    sync_agrees: bool
+    threshold_doubled: bool | None
+    encoded_witness_resets: bool | None
+    ok: bool
+
+
+def check_theorem2(
+    dfa: Dfa,
+    budget: SearchBudget = DEFAULT_BUDGET,
+    capacity: int = DEFAULT_CAPACITY,
+) -> Theorem2Report:
+    """Check that doubling preserves synchronizability, exactly doubles
+    the reset threshold, and that the encoded base witness resets the
+    doubled automaton at exactly twice the length."""
+    image = higgins_transform(dfa)
+    base = reset_threshold(dfa, budget, capacity)
+    transformed = reset_threshold(image.result, budget, capacity)
+    sync_agrees = base.synchronizing == transformed.synchronizing
+    threshold_doubled: bool | None = None
+    encoded_resets: bool | None = None
+    if base.synchronizing and transformed.synchronizing:
+        threshold_doubled = transformed.threshold == 2 * base.threshold
+        encoded = chi_encode(image, base.witness)
+        encoded_resets = len(encoded) == 2 * len(base.witness) and verify_reset_word(
+            image.result, encoded
+        )
+    ok = (
+        not base.truncated
+        and not transformed.truncated
+        and sync_agrees
+        and threshold_doubled is not False
+        and encoded_resets is not False
+    )
+    return Theorem2Report(
+        base, transformed, sync_agrees, threshold_doubled, encoded_resets, ok
+    )
+
+
+@dataclass(frozen=True)
+class Corollary3Report:
+    """Facts about the doubling of the classic binary family member:
+    three idempotent letters of half rank, properness, and the
+    threshold ``n**2/2 - 2n + 2``."""
+
+    n: int
+    expected_threshold: int
+    sync: SyncResult
+    letter_ranks: tuple[int, ...]
+    letter_idempotent: tuple[bool, ...]
+    proper: bool
+    ok: bool
+
+
+def check_corollary3(
+    n: int,
+    budget: SearchBudget = DEFAULT_BUDGET,
+    capacity: int = DEFAULT_CAPACITY,
+) -> Corollary3Report:
+    """Build the doubled automaton on ``n`` states (``n`` even, at least
+    4) from the binary family on ``n/2`` states and check its advertised
+    shape: 3 letters, all idempotent of rank ``n/2``, proper, threshold
+    ``n**2/2 - 2n + 2``."""
+    if n < 4 or n % 2 != 0:
+        raise UsageError(f"need an even state count of at least 4, got {n}")
+    doubled = higgins_transform(gen_cerny(n // 2)).result
+    expected = n * n // 2 - 2 * n + 2
+    sync = reset_threshold(doubled, budget, capacity)
+    ranks, idem = _letter_shapes(doubled)
+    proper = is_proper(doubled)
+    ok = (
+        doubled.k == 3
+        and sync.synchronizing
+        and sync.threshold == expected
+        and all(idem)
+        and all(r == n // 2 for r in ranks)
+        and proper
+    )
+    return Corollary3Report(n, expected, sync, ranks, idem, proper, ok)
 
 
 @dataclass(frozen=True)
@@ -100,30 +214,37 @@ class HarnessReport:
         ]
 
 
-def _timed(fn: Callable[[], tuple[str, str, bool]]) -> tuple[str, str, bool, float]:
-    start = time.perf_counter()
-    expected, measured, passed = fn()
-    return expected, measured, passed, (time.perf_counter() - start) * 1000.0
-
-
 def _record(
     claim: str, params: str, fn: Callable[[], tuple[str, str, bool]], informative: bool = False
 ) -> ClaimRecord:
-    expected, measured, passed, millis = _timed(fn)
+    start = time.perf_counter()
+    expected, measured, passed = fn()
+    millis = (time.perf_counter() - start) * 1000.0
     return ClaimRecord(claim, params, expected, measured, passed, millis, informative)
 
 
+def _threshold_records(
+    claim: str,
+    family: Callable[[int], Dfa],
+    want: Callable[[int], int],
+    sizes: Iterable[int],
+    budget: SearchBudget,
+    informative: bool = False,
+) -> list[ClaimRecord]:
+    """One record per size ``n``: the reset threshold of ``family(n)``
+    against ``want(n)``."""
+
+    def check(n: int) -> tuple[str, str, bool]:
+        res = reset_threshold(family(n), budget)
+        return f"ret={want(n)}", f"ret={res.threshold}", res.threshold == want(n)
+
+    return [
+        _record(claim, f"n={n}", lambda n=n: check(n), informative) for n in sizes
+    ]
+
+
 def _claim_cerny(budget: SearchBudget) -> list[ClaimRecord]:
-    records = []
-    for n in range(2, 11):
-        want = (n - 1) ** 2
-
-        def check(n=n, want=want):
-            res = reset_threshold(gen_cerny(n), budget)
-            return f"ret={want}", f"ret={res.threshold}", res.threshold == want
-
-        records.append(_record("cerny", f"n={n}", check))
-    return records
+    return _threshold_records("cerny", gen_cerny, lambda n: (n - 1) ** 2, range(2, 11), budget)
 
 
 def _claim_lemma1(budget: SearchBudget) -> list[ClaimRecord]:
@@ -205,15 +326,7 @@ def _claim_prop5(budget: SearchBudget) -> list[ClaimRecord]:
 
 
 def _claim_ladder(budget: SearchBudget) -> list[ClaimRecord]:
-    records = []
-    for n in range(1, 16):
-
-        def check(n=n):
-            res = reset_threshold(gen_ladder(n), budget)
-            return f"ret={n - 1}", f"ret={res.threshold}", res.threshold == n - 1
-
-        records.append(_record("ladder", f"n={n}", check))
-    return records
+    return _threshold_records("ladder", gen_ladder, lambda n: n - 1, range(1, 16), budget)
 
 
 def _claim_gusev7(budget: SearchBudget) -> list[ClaimRecord]:
@@ -227,16 +340,14 @@ def _claim_gusev7(budget: SearchBudget) -> list[ClaimRecord]:
             res.threshold == 16 and table_ok,
         )
 
-    records = [_record("gusev7", "n=7", check_exact)]
-    for n in (3, 5, 9, 11, 13):
-        want = (n * n - 3 * n + 4) // 2
+    def want(n: int) -> int:
+        return (n * n - 3 * n + 4) // 2
 
-        def check(n=n, want=want):
-            res = reset_threshold(gen_gusev_like(n), budget)
-            return f"ret={want}", f"ret={res.threshold}", res.threshold == want
-
-        records.append(_record("gusev7", f"n={n}", check, informative=True))
-    return records
+    exact = _record("gusev7", "n=7", check_exact)
+    sizes = (3, 5, 9, 11, 13)
+    return [exact] + _threshold_records(
+        "gusev7", gen_gusev_like, want, sizes, budget, informative=True
+    )
 
 
 CLAIMS: dict[str, Callable[[SearchBudget], list[ClaimRecord]]] = {

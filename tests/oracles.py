@@ -10,10 +10,11 @@ the pair test), :func:`reference_is_synchronizing` (the pair test over a
 reverse dict of pair predecessors),
 :func:`reference_synchronize_sink_2idem` (peeling by rescanning every
 predecessor each round, which reuses the library's preconditions and
-word check), and the text layers :func:`reference_gen_random_idempotent`
+word check), the text layers :func:`reference_gen_random_idempotent`
 (one bit test per state on the image set),
 :func:`reference_export_dot` (one row lookup per state and letter) and
-:func:`reference_render_automaton`.
+:func:`reference_render_automaton`, and :func:`reference_image_of_set`
+(one n-bit walk per letter).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from idemsync import (
     ContradictionError,
     Dfa,
     SearchBudget,
+    StateSet,
     SyncResult,
     UsageError,
     find_sinks,
@@ -322,3 +324,23 @@ def reference_render_automaton(dfa: Dfa) -> str:
     for name, row in zip(dfa.letters, dfa.delta):
         lines.append(name + " " + " ".join(str(t) for t in row))
     return "\n".join(lines) + "\n"
+
+
+def reference_image_of_set(dfa: Dfa, s: StateSet, word) -> StateSet:
+    """The earlier ``image_of_set``: each letter walks the set's bits,
+    lowest first, and ORs the image bits into an n-bit integer."""
+    if s.n != dfa.n:
+        raise UsageError(f"set capacity {s.n} does not match state count {dfa.n}")
+    bits = s.bits
+    for j in word:
+        if not 0 <= j < dfa.k:
+            raise UsageError(f"letter index {j} leaves [0, {dfa.k})")
+        row = dfa.delta[j]
+        img = 0
+        rest = bits
+        while rest:
+            low = rest & -rest
+            img |= 1 << row[low.bit_length() - 1]
+            rest ^= low
+        bits = img
+    return StateSet(bits, dfa.n)

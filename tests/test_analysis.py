@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -328,3 +330,78 @@ class TestAnalyzeAutomaton:
         assert not report.strongly_connected
         assert report.sync.threshold == 4
         assert report.sync.witness == (1, 0, 1, 0)
+        assert report.synchronizing
+
+    def test_past_capacity_the_search_is_skipped(self):
+        report = analyze_automaton(gen_ladder(100))
+        assert report.sync is None
+        assert report.synchronizing is True
+        assert report.sinks == (99,)
+        assert report.letter_ranks == (51, 50)
+
+    def test_past_capacity_the_pair_test_decides(self):
+        cycle = Dfa(100, ("r",), (tuple((q + 1) % 100 for q in range(100)),))
+        report = analyze_automaton(cycle)
+        assert report.sync is None
+        assert report.synchronizing is False
+        assert report.strongly_connected
+
+    def test_capacity_is_per_call(self):
+        report = analyze_automaton(gen_ladder(8), capacity=7)
+        assert report.sync is None and report.synchronizing
+        assert analyze_automaton(gen_ladder(8), capacity=8).sync.threshold == 7
+
+    def test_truncated_search_reports_no_synchronization(self):
+        report = analyze_automaton(gen_cerny(4), SearchBudget(max_subsets=2))
+        assert report.sync.truncated
+        assert report.synchronizing is False
+
+    def test_one_pair_test_within_capacity(self, monkeypatch):
+        import idemsync.analysis as analysis
+
+        calls = []
+        pair_test = analysis.is_synchronizing
+
+        def counted(dfa):
+            calls.append(dfa)
+            return pair_test(dfa)
+
+        monkeypatch.setattr(analysis, "is_synchronizing", counted)
+        analyze_automaton(gen_cerny(5))
+        assert len(calls) == 1
+
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "idemsync"
+# The relative imports of each lower layer, exactly: core -> analysis ->
+# generators / two_idempotent -> harness -> cli.
+LOWER_LAYERS = {
+    "core": set(),
+    "analysis": {"core"},
+    "generators": {"core"},
+    "saf": {"core"},
+    "dot": {"core"},
+    "two_idempotent": {"core", "analysis"},
+}
+
+
+def _relative_imports(module: str) -> set[str]:
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    return {
+        node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+    }
+
+
+class TestLayers:
+    @pytest.mark.parametrize("module", sorted(LOWER_LAYERS))
+    def test_lower_layers_import_only_below(self, module):
+        assert _relative_imports(module) == LOWER_LAYERS[module]
+
+    def test_harness_imports_no_front_end(self):
+        front_ends = {"cli", "saf", "dot", "two_idempotent"}
+        assert not _relative_imports("harness") & front_ends
+
+    def test_every_module_is_covered(self):
+        modules = {path.stem for path in PACKAGE.glob("*.py")}
+        assert modules == set(LOWER_LAYERS) | {"harness", "cli", "__init__"}

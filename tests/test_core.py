@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idemsync import (
     ClosureViolation,
@@ -30,7 +31,7 @@ from idemsync import (
     word_from_names,
     word_to_names,
 )
-from oracles import closure, inflate, naive_strongly_connected
+from oracles import closure, inflate, naive_strongly_connected, reference_image_of_set
 from strategies import dfas, dfas_with_words
 
 IDENTITY3 = Dfa(3, ("i",), ((0, 1, 2),))
@@ -154,6 +155,18 @@ class TestImageOfSet:
         with pytest.raises(UsageError, match="capacity"):
             image_of_set(gen_cerny(4), StateSet.full(5), ())
 
+    def test_rejects_bad_letter_on_the_empty_set(self):
+        with pytest.raises(UsageError, match="letter index 2"):
+            image_of_set(gen_cerny(4), StateSet.empty(4), (0, 2))
+
+    @settings(max_examples=200)
+    @given(dfas_with_words(max_n=12, max_k=4), st.data())
+    def test_matches_the_bit_walk_reference(self, case, data):
+        dfa, word = case
+        bits = data.draw(st.integers(0, (1 << dfa.n) - 1))
+        s = StateSet(bits, dfa.n)
+        assert image_of_set(dfa, s, word) == reference_image_of_set(dfa, s, word)
+
     @settings(max_examples=60)
     @given(dfas_with_words())
     def test_cardinality_never_increases(self, case):
@@ -249,6 +262,25 @@ class TestSubautomaton:
     def test_rejects_empty_set(self):
         with pytest.raises(UsageError, match="empty"):
             subautomaton(gen_cerny(3), StateSet.empty(3))
+
+    @settings(max_examples=200)
+    @given(dfas(max_n=10, max_k=3), st.data())
+    def test_first_escape_is_the_witness(self, dfa, data):
+        s = StateSet(data.draw(st.integers(1, (1 << dfa.n) - 1)), dfa.n)
+        members = s.members()
+        escapes = [
+            (q, j, row[q])
+            for q in members
+            for j, row in enumerate(dfa.delta)
+            if row[q] not in members
+        ]
+        if not escapes:
+            assert subautomaton(dfa, s).n == len(members)
+            return
+        with pytest.raises(ClosureViolation) as err:
+            subautomaton(dfa, s)
+        found = err.value
+        assert (found.state, found.letter, found.target) == escapes[0]
 
     def test_rejects_capacity_mismatch(self):
         with pytest.raises(UsageError, match="capacity"):
