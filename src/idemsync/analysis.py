@@ -32,10 +32,14 @@ from operator import or_
 
 from .core import (
     Dfa,
+    StateSet,
     UsageError,
     Word,
+    _predecessors,
+    _reaches_all,
     _sink_list,
     find_sinks,
+    image_of_set,
     is_idempotent_letter,
     is_strongly_connected,
     letter_rank,
@@ -123,15 +127,19 @@ def is_synchronizing(dfa: Dfa) -> bool:
     Each pair is expanded once, in ``O(k * n**2)`` steps; the side
     tables are the ``O(k * n)`` inverse lists and one ``n**2``-byte
     table of merged flags.  The closure stops as soon as every pair is
-    merged, and it needs no budget.  Two distinct sinks never merge, so
-    an automaton with two of them is rejected in ``O(k * n)`` steps,
-    before the table is allocated.
+    merged, and it needs no budget.  Sinks answer in ``O(k * n)`` steps,
+    before the table is allocated: two distinct sinks never merge, and
+    with exactly one sink the automaton synchronizes exactly when every
+    state reaches it.
     """
     n = dfa.n
     if n == 1:
         return True
-    if len(_sink_list(dfa)) > 1:
+    sinks = _sink_list(dfa)
+    if len(sinks) > 1:
         return False
+    if sinks:
+        return _reaches_all(_predecessors(dfa), sinks[0])
     inverses = []
     for row in dfa.delta:
         inverse: list[list[int]] = [[] for _ in range(n)]
@@ -282,13 +290,7 @@ def verify_reset_word(dfa: Dfa, word: Word) -> bool:
     Raises ``UsageError`` on a letter index outside the alphabet, even
     after the image has shrunk to one state.
     """
-    k = dfa.k
-    image = set(range(dfa.n))
-    for j in word:
-        if not 0 <= j < k:
-            raise UsageError(f"letter index {j} leaves [0, {k})")
-        image = set(map(dfa.delta[j].__getitem__, image))
-    return len(image) == 1
+    return len(image_of_set(dfa, StateSet.full(dfa.n), word)) == 1
 
 
 def is_proper(dfa: Dfa) -> bool:

@@ -178,6 +178,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Construct, transform, and exactly analyze synchronizing automata.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--budget", type=int, help="max subsets for the exact search")
 
     gen = sub.add_parser("gen", help="emit a generated automaton as SAF")
     gen_sub = gen.add_subparsers(dest="family", required=True)
@@ -202,21 +204,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="SAF file, or - for stdin")
     p.set_defaults(func=_cmd_transform)
 
-    p = sub.add_parser("analyze", help="structural and synchronization report")
+    p = sub.add_parser(
+        "analyze", parents=[budget], help="structural and synchronization report"
+    )
     p.add_argument("file", help="SAF file, or - for stdin")
-    p.add_argument("--budget", type=int, help="max subsets for the exact search")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser(
-        "shortest-word", help="lexicographically least shortest reset word"
+        "shortest-word", parents=[budget], help="lexicographically least shortest reset word"
     )
     p.add_argument("file", help="SAF file, or - for stdin")
-    p.add_argument("--budget", type=int, help="max subsets for the exact search")
     p.set_defaults(func=_cmd_shortest_word)
 
-    p = sub.add_parser("verify", help="run one verification claim")
+    p = sub.add_parser("verify", parents=[budget], help="run one verification claim")
     p.add_argument("claim", choices=sorted(CLAIMS), help="claim id")
-    p.add_argument("--budget", type=int, help="max subsets for the exact search")
     p.add_argument("--json", action="store_true", help="emit line-delimited records")
     p.set_defaults(func=_cmd_verify)
 
@@ -250,10 +251,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ContradictionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except UsageError as exc:
+    except (ContradictionError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

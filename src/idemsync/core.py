@@ -191,22 +191,24 @@ class Congruence:
 
 def apply_letter(dfa: Dfa, q: int, j: int) -> int:
     """Image of state ``q`` under letter ``j``."""
-    if not 0 <= q < dfa.n:
-        raise UsageError(f"state {q} leaves [0, {dfa.n})")
-    if not 0 <= j < dfa.k:
-        raise UsageError(f"letter index {j} leaves [0, {dfa.k})")
-    return dfa.delta[j][q]
+    return apply_word(dfa, q, (j,))
 
 
 def apply_word(dfa: Dfa, q: int, word: Sequence[int]) -> int:
     """Image of state ``q`` under ``word``; the empty word fixes ``q``."""
     if not 0 <= q < dfa.n:
         raise UsageError(f"state {q} leaves [0, {dfa.n})")
+    _check_letters(dfa.k, word)
     for j in word:
-        if not 0 <= j < dfa.k:
-            raise UsageError(f"letter index {j} leaves [0, {dfa.k})")
         q = dfa.delta[j][q]
     return q
+
+
+def _check_letters(k: int, word: Sequence[int]) -> None:
+    """Raise ``UsageError`` at the first letter index outside ``[0, k)``."""
+    for j in word:
+        if not 0 <= j < k:
+            raise UsageError(f"letter index {j} leaves [0, {k})")
 
 
 def image_of_set(dfa: Dfa, s: StateSet, word: Sequence[int]) -> StateSet:
@@ -217,18 +219,16 @@ def image_of_set(dfa: Dfa, s: StateSet, word: Sequence[int]) -> StateSet:
     """
     if s.n != dfa.n:
         raise UsageError(f"set capacity {s.n} does not match state count {dfa.n}")
+    _check_letters(dfa.k, word)
     image = set(s)
     for j in word:
-        if not 0 <= j < dfa.k:
-            raise UsageError(f"letter index {j} leaves [0, {dfa.k})")
         image = set(map(dfa.delta[j].__getitem__, image))
     return StateSet.of(image, dfa.n)
 
 
 def letter_rank(dfa: Dfa, j: int) -> int:
     """Cardinality of the image of the whole state set under letter ``j``."""
-    if not 0 <= j < dfa.k:
-        raise UsageError(f"letter index {j} leaves [0, {dfa.k})")
+    _check_letters(dfa.k, (j,))
     return len(set(dfa.delta[j]))
 
 
@@ -237,8 +237,7 @@ def is_idempotent_letter(dfa: Dfa, j: int) -> bool:
 
     Equivalently, the letter fixes every state of its own image.
     """
-    if not 0 <= j < dfa.k:
-        raise UsageError(f"letter index {j} leaves [0, {dfa.k})")
+    _check_letters(dfa.k, (j,))
     row = dfa.delta[j]
     return all(row[row[q]] == row[q] for q in range(dfa.n))
 
@@ -269,24 +268,26 @@ def is_strongly_connected(dfa: Dfa) -> bool:
     Equivalently, state 0 reaches every state along the transitions and
     along the reversed transitions.
     """
-    n = dfa.n
-    if n == 1:
+    if dfa.n == 1:
         return True
-    if not _reaches_all(list(zip(*dfa.delta))):
-        return False
-    inverse: list[list[int]] = [[] for _ in range(n)]
+    return _reaches_all(list(zip(*dfa.delta))) and _reaches_all(_predecessors(dfa))
+
+
+def _predecessors(dfa: Dfa) -> list[list[int]]:
+    """Entry ``t`` lists, with repeats, every state some letter sends to ``t``."""
+    inverse: list[list[int]] = [[] for _ in range(dfa.n)]
     for row in dfa.delta:
         for q, t in enumerate(row):
             inverse[t].append(q)
-    return _reaches_all(inverse)
+    return inverse
 
 
-def _reaches_all(adjacency: Sequence[Sequence[int]]) -> bool:
-    """True when state 0 reaches every state, ``adjacency[q]`` listing
+def _reaches_all(adjacency: Sequence[Sequence[int]], start: int = 0) -> bool:
+    """True when ``start`` reaches every state, ``adjacency[q]`` listing
     the successors of ``q``."""
     seen = [False] * len(adjacency)
-    seen[0] = True
-    stack = [0]
+    seen[start] = True
+    stack = [start]
     count = 1
     while stack:
         for t in adjacency[stack.pop()]:
@@ -375,9 +376,5 @@ def word_from_names(dfa: Dfa, names: Iterable[str]) -> Word:
 
 def word_to_names(dfa: Dfa, word: Sequence[int]) -> tuple[str, ...]:
     """Translate a word of letter indices into letter names."""
-    out = []
-    for j in word:
-        if not 0 <= j < dfa.k:
-            raise UsageError(f"letter index {j} leaves [0, {dfa.k})")
-        out.append(dfa.letters[j])
-    return tuple(out)
+    _check_letters(dfa.k, word)
+    return tuple(map(dfa.letters.__getitem__, word))

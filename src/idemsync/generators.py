@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Dfa, UsageError, Word
+from .core import Dfa, UsageError, Word, _check_letters
 
 
 @dataclass(frozen=True)
@@ -79,11 +79,9 @@ def chi_encode(image: HigginsImage, word: Sequence[int]) -> Word:
     image of the full doubled state set equals the image of the full
     base state set whenever the word is nonempty.
     """
-    k = len(image.a_index)
+    _check_letters(len(image.a_index), word)
     out = []
     for j in word:
-        if not 0 <= j < k:
-            raise UsageError(f"letter index {j} leaves [0, {k})")
         out.append(image.b_index)
         out.append(image.a_index[j])
     return tuple(out)
@@ -97,10 +95,7 @@ def chi_decode(image: HigginsImage, word: Sequence[int]) -> Word | NotInImage:
     breaks the ``b a_j`` block structure.  A failed decode is a normal
     return, not an error.
     """
-    k_total = image.result.k
-    for j in word:
-        if not 0 <= j < k_total:
-            raise UsageError(f"letter index {j} leaves [0, {k_total})")
+    _check_letters(image.result.k, word)
     base_of = {a: j for j, a in enumerate(image.a_index)}
     out = []
     i = 0

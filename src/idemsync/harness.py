@@ -23,7 +23,6 @@ from typing import Callable, Iterable, Sequence
 
 from .analysis import (
     DEFAULT_BUDGET,
-    DEFAULT_CAPACITY,
     SearchBudget,
     SyncResult,
     _letter_shapes,
@@ -88,17 +87,13 @@ class Theorem2Report:
     ok: bool
 
 
-def check_theorem2(
-    dfa: Dfa,
-    budget: SearchBudget = DEFAULT_BUDGET,
-    capacity: int = DEFAULT_CAPACITY,
-) -> Theorem2Report:
+def check_theorem2(dfa: Dfa, budget: SearchBudget = DEFAULT_BUDGET) -> Theorem2Report:
     """Check that doubling preserves synchronizability, exactly doubles
     the reset threshold, and that the encoded base witness resets the
     doubled automaton at exactly twice the length."""
     image = higgins_transform(dfa)
-    base = reset_threshold(dfa, budget, capacity)
-    transformed = reset_threshold(image.result, budget, capacity)
+    base = reset_threshold(dfa, budget)
+    transformed = reset_threshold(image.result, budget)
     sync_agrees = base.synchronizing == transformed.synchronizing
     threshold_doubled: bool | None = None
     encoded_resets: bool | None = None
@@ -135,11 +130,7 @@ class Corollary3Report:
     ok: bool
 
 
-def check_corollary3(
-    n: int,
-    budget: SearchBudget = DEFAULT_BUDGET,
-    capacity: int = DEFAULT_CAPACITY,
-) -> Corollary3Report:
+def check_corollary3(n: int, budget: SearchBudget = DEFAULT_BUDGET) -> Corollary3Report:
     """Build the doubled automaton on ``n`` states (``n`` even, at least
     4) from the binary family on ``n/2`` states and check its advertised
     shape: 3 letters, all idempotent of rank ``n/2``, proper, threshold
@@ -148,7 +139,7 @@ def check_corollary3(
         raise UsageError(f"need an even state count of at least 4, got {n}")
     doubled = higgins_transform(gen_cerny(n // 2)).result
     expected = n * n // 2 - 2 * n + 2
-    sync = reset_threshold(doubled, budget, capacity)
+    sync = reset_threshold(doubled, budget)
     ranks, idem = _letter_shapes(doubled)
     proper = is_proper(doubled)
     ok = (
@@ -223,28 +214,33 @@ def _record(
     return ClaimRecord(claim, params, expected, measured, passed, millis, informative)
 
 
-def _threshold_records(
+def _sized(
     claim: str,
-    family: Callable[[int], Dfa],
-    want: Callable[[int], int],
     sizes: Iterable[int],
-    budget: SearchBudget,
+    check: Callable[[int], tuple[str, str, bool]],
     informative: bool = False,
 ) -> list[ClaimRecord]:
-    """One record per size ``n``: the reset threshold of ``family(n)``
-    against ``want(n)``."""
-
-    def check(n: int) -> tuple[str, str, bool]:
-        res = reset_threshold(family(n), budget)
-        return f"ret={want(n)}", f"ret={res.threshold}", res.threshold == want(n)
-
+    """One record per size ``n``, with ``check(n)`` giving the expected
+    and measured text and whether the size passed."""
     return [
         _record(claim, f"n={n}", lambda n=n: check(n), informative) for n in sizes
     ]
 
 
+def _threshold(
+    family: Callable[[int], Dfa], want: Callable[[int], int], budget: SearchBudget
+) -> Callable[[int], tuple[str, str, bool]]:
+    """The check of the reset threshold of ``family(n)`` against ``want(n)``."""
+
+    def check(n: int) -> tuple[str, str, bool]:
+        res = reset_threshold(family(n), budget)
+        return f"ret={want(n)}", f"ret={res.threshold}", res.threshold == want(n)
+
+    return check
+
+
 def _claim_cerny(budget: SearchBudget) -> list[ClaimRecord]:
-    return _threshold_records("cerny", gen_cerny, lambda n: (n - 1) ** 2, range(2, 11), budget)
+    return _sized("cerny", range(2, 11), _threshold(gen_cerny, lambda n: (n - 1) ** 2, budget))
 
 
 def _claim_lemma1(budget: SearchBudget) -> list[ClaimRecord]:
@@ -267,39 +263,31 @@ def _claim_lemma1(budget: SearchBudget) -> list[ClaimRecord]:
 
 
 def _claim_thm2(budget: SearchBudget) -> list[ClaimRecord]:
-    records = []
-    for n in range(2, 10):
+    def check(n: int) -> tuple[str, str, bool]:
         want = 2 * (n - 1) ** 2
+        report = check_theorem2(gen_cerny(n), budget)
+        measured = (
+            f"ret_doubled={report.transformed.threshold} "
+            f"agree={report.sync_agrees} "
+            f"encoded_resets={report.encoded_witness_resets}"
+        )
+        good = report.ok and report.transformed.threshold == want
+        return f"ret_doubled={want} agree=True encoded_resets=True", measured, good
 
-        def check(n=n, want=want):
-            report = check_theorem2(gen_cerny(n), budget)
-            measured = (
-                f"ret_doubled={report.transformed.threshold} "
-                f"agree={report.sync_agrees} "
-                f"encoded_resets={report.encoded_witness_resets}"
-            )
-            good = report.ok and report.transformed.threshold == want
-            return f"ret_doubled={want} agree=True encoded_resets=True", measured, good
-
-        records.append(_record("thm2", f"n={n}", check))
-    return records
+    return _sized("thm2", range(2, 10), check)
 
 
 def _claim_cor3(budget: SearchBudget) -> list[ClaimRecord]:
-    records = []
-    for m in range(4, 17, 2):
+    def check(m: int) -> tuple[str, str, bool]:
+        report = check_corollary3(m, budget)
+        expected = f"ret={report.expected_threshold} rank={m // 2} idempotent proper"
+        measured = (
+            f"ret={report.sync.threshold} ranks={sorted(set(report.letter_ranks))} "
+            f"idempotent={all(report.letter_idempotent)} proper={report.proper}"
+        )
+        return expected, measured, report.ok
 
-        def check(m=m):
-            report = check_corollary3(m, budget)
-            expected = f"ret={report.expected_threshold} rank={m // 2} idempotent proper"
-            measured = (
-                f"ret={report.sync.threshold} ranks={sorted(set(report.letter_ranks))} "
-                f"idempotent={all(report.letter_idempotent)} proper={report.proper}"
-            )
-            return expected, measured, report.ok
-
-        records.append(_record("cor3", f"n={m}", check))
-    return records
+    return _sized("cor3", range(4, 17, 2), check)
 
 
 def _claim_prop5(budget: SearchBudget) -> list[ClaimRecord]:
@@ -326,7 +314,7 @@ def _claim_prop5(budget: SearchBudget) -> list[ClaimRecord]:
 
 
 def _claim_ladder(budget: SearchBudget) -> list[ClaimRecord]:
-    return _threshold_records("ladder", gen_ladder, lambda n: n - 1, range(1, 16), budget)
+    return _sized("ladder", range(1, 16), _threshold(gen_ladder, lambda n: n - 1, budget))
 
 
 def _claim_gusev7(budget: SearchBudget) -> list[ClaimRecord]:
@@ -344,10 +332,8 @@ def _claim_gusev7(budget: SearchBudget) -> list[ClaimRecord]:
         return (n * n - 3 * n + 4) // 2
 
     exact = _record("gusev7", "n=7", check_exact)
-    sizes = (3, 5, 9, 11, 13)
-    return [exact] + _threshold_records(
-        "gusev7", gen_gusev_like, want, sizes, budget, informative=True
-    )
+    check = _threshold(gen_gusev_like, want, budget)
+    return [exact] + _sized("gusev7", (3, 5, 9, 11, 13), check, informative=True)
 
 
 CLAIMS: dict[str, Callable[[SearchBudget], list[ClaimRecord]]] = {

@@ -143,6 +143,20 @@ class TestAnalyze:
             "search: skipped (100000 states exceed the subset-search capacity 63)",
         ]
 
+    def test_one_sink_answers_without_the_pair_table(self, capsys, monkeypatch):
+        # one sink reached from every state decides it in O(k * n) steps
+        assert main(["gen", "ladder", "-n", "100000"]) == 0
+        monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
+        assert main(["analyze", "-"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[-4:] == [
+            "sinks: 99999",
+            "strongly_connected: false",
+            "synchronizing: true",
+            "search: skipped (100000 states exceed the subset-search capacity 63)",
+        ]
+
 
 class TestShortestWord:
     def test_cerny3_witness(self, tmp_path, capsys):

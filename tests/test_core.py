@@ -13,6 +13,8 @@ from idemsync import (
     UsageError,
     apply_letter,
     apply_word,
+    chi_decode,
+    chi_encode,
     find_sinks,
     gen_cerny,
     gen_flipflop,
@@ -28,6 +30,7 @@ from idemsync import (
     make_congruence,
     quotient,
     subautomaton,
+    verify_reset_word,
     word_from_names,
     word_to_names,
 )
@@ -371,3 +374,33 @@ class TestWordNames:
             word_from_names(gen_cerny(3), ["nope"])
         with pytest.raises(UsageError):
             word_to_names(gen_cerny(3), (4,))
+
+
+CERNY3 = gen_cerny(3)
+CERNY3_IMAGE = higgins_transform(CERNY3)
+
+# (entry point, alphabet size, call with one letter index)
+LETTER_TAKERS = [
+    ("apply_letter", 2, lambda j: apply_letter(CERNY3, 0, j)),
+    ("apply_word", 2, lambda j: apply_word(CERNY3, 0, (0, j))),
+    ("image_of_set", 2, lambda j: image_of_set(CERNY3, StateSet.full(3), (0, j))),
+    ("letter_rank", 2, lambda j: letter_rank(CERNY3, j)),
+    ("is_idempotent_letter", 2, lambda j: is_idempotent_letter(CERNY3, j)),
+    ("is_idempotent_word", 2, lambda j: is_idempotent_word(CERNY3, (0, j))),
+    ("word_to_names", 2, lambda j: word_to_names(CERNY3, (0, j))),
+    ("verify_reset_word", 2, lambda j: verify_reset_word(CERNY3, (0, 1, 1, 0, j))),
+    ("chi_encode", 2, lambda j: chi_encode(CERNY3_IMAGE, (0, j))),
+    ("chi_decode", 3, lambda j: chi_decode(CERNY3_IMAGE, (2, 0, j))),
+]
+
+
+@pytest.mark.parametrize("bad", ["below", "above"])
+@pytest.mark.parametrize(
+    "name, k, call", LETTER_TAKERS, ids=[name for name, _, _ in LETTER_TAKERS]
+)
+def test_out_of_range_letter_message(name, k, call, bad):
+    j = -1 if bad == "below" else k
+    with pytest.raises(UsageError) as info:
+        call(j)
+    assert type(info.value) is UsageError
+    assert str(info.value) == f"letter index {j} leaves [0, {k})"

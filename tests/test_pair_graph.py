@@ -26,7 +26,11 @@ from idemsync import (
     synchronize_sink_2idem,
     verify_reset_word,
 )
-from oracles import reference_is_synchronizing, reference_synchronize_sink_2idem
+from oracles import (
+    reference_image_of_set,
+    reference_is_synchronizing,
+    reference_synchronize_sink_2idem,
+)
 from strategies import dfas, dfas_with_words, idempotent_sink_dfas
 
 
@@ -69,6 +73,12 @@ class TestPairTest:
     def test_matches_reference(self, dfa):
         assert is_synchronizing(dfa) == reference_is_synchronizing(dfa)
 
+    @settings(max_examples=200, deadline=None)
+    @given(idempotent_sink_dfas())
+    def test_one_sink_matches_reference(self, dfa):
+        # every input has exactly one sink, so reachability decides
+        assert is_synchronizing(dfa) == reference_is_synchronizing(dfa)
+
 
 class TestPeeling:
     @settings(max_examples=200, deadline=None)
@@ -105,6 +115,13 @@ class TestVerifyResetWord:
     def test_matches_set_image(self, case):
         dfa, word = case
         expected = len(image_of_set(dfa, StateSet.full(dfa.n), word)) == 1
+        assert verify_reset_word(dfa, word) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(dfas_with_words(max_n=8, max_k=3, max_len=12))
+    def test_matches_the_bit_walk_reference(self, case):
+        dfa, word = case
+        expected = len(reference_image_of_set(dfa, StateSet.full(dfa.n), word)) == 1
         assert verify_reset_word(dfa, word) == expected
 
     @settings(max_examples=100, deadline=None)
