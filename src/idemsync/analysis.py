@@ -38,7 +38,6 @@ from .core import (
     _predecessors,
     _reaches_all,
     _sink_list,
-    find_sinks,
     image_of_set,
     is_idempotent_letter,
     is_strongly_connected,
@@ -70,6 +69,9 @@ DEFAULT_BUDGET = SearchBudget(max_subsets=1 << 24)
 #: Largest state count the bit-packed subset search accepts by default.
 #: Callers with patience can raise it per call; the pair test has no limit.
 DEFAULT_CAPACITY = 63
+
+# Largest pair table, in bytes, the pair test allocates: n <= 16,384 states
+_PAIR_TABLE_CAP = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -130,16 +132,20 @@ def is_synchronizing(dfa: Dfa) -> bool:
     merged, and it needs no budget.  Sinks answer in ``O(k * n)`` steps,
     before the table is allocated: two distinct sinks never merge, and
     with exactly one sink the automaton synchronizes exactly when every
-    state reaches it.
+    state reaches it.  A sink-free automaton whose table would exceed
+    ``2**28`` bytes (more than 16,384 states) raises ``UsageError``.
     """
     n = dfa.n
-    if n == 1:
-        return True
     sinks = _sink_list(dfa)
     if len(sinks) > 1:
         return False
     if sinks:
         return _reaches_all(_predecessors(dfa), sinks[0])
+    if n * n > _PAIR_TABLE_CAP:
+        raise UsageError(
+            f"{n} states without a sink need a {n * n}-byte pair table, "
+            f"over the cap of {_PAIR_TABLE_CAP} bytes"
+        )
     inverses = []
     for row in dfa.delta:
         inverse: list[list[int]] = [[] for _ in range(n)]
@@ -330,7 +336,7 @@ def analyze_automaton(
         letters=dfa.letters,
         letter_ranks=ranks,
         letter_idempotent=idempotent,
-        sinks=find_sinks(dfa).members(),
+        sinks=tuple(_sink_list(dfa)),
         strongly_connected=is_strongly_connected(dfa),
         sync=sync,
         synchronizing=is_synchronizing(dfa) if sync is None else sync.synchronizing,

@@ -70,17 +70,7 @@ def _budget(args: argparse.Namespace) -> SearchBudget:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    if args.family == "cerny":
-        dfa = gen_cerny(args.n)
-    elif args.family == "ladder":
-        dfa = gen_ladder(args.n)
-    elif args.family == "gusev":
-        dfa = gen_gusev_like(args.n)
-    elif args.family == "flipflop":
-        dfa = gen_flipflop()
-    else:
-        dfa = gen_random_idempotent(args.n, args.k, args.seed)
-    sys.stdout.write(render_automaton(dfa))
+    sys.stdout.write(render_automaton(args.generate(args)))
     return 0
 
 
@@ -180,40 +170,46 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument("--budget", type=int, help="max subsets for the exact search")
+    file = argparse.ArgumentParser(add_help=False)
+    file.add_argument("file", help="SAF file, or - for stdin")
 
     gen = sub.add_parser("gen", help="emit a generated automaton as SAF")
     gen_sub = gen.add_subparsers(dest="family", required=True)
     p = gen_sub.add_parser("cerny", help="binary family with threshold (n-1)^2")
     p.add_argument("-n", type=int, required=True, help="state count (>= 2)")
+    p.set_defaults(generate=lambda a: gen_cerny(a.n))
     p = gen_sub.add_parser("ladder", help="two idempotent letters, unique sink")
     p.add_argument("-n", type=int, required=True, help="state count (>= 1)")
+    p.set_defaults(generate=lambda a: gen_ladder(a.n))
     p = gen_sub.add_parser("gusev", help="ladder with the sink's b redirected")
     p.add_argument("-n", type=int, default=7, help="odd state count (default 7)")
-    gen_sub.add_parser("flipflop", help="the two-state flip-flop")
+    p.set_defaults(generate=lambda a: gen_gusev_like(a.n))
+    p = gen_sub.add_parser("flipflop", help="the two-state flip-flop")
+    p.set_defaults(generate=lambda a: gen_flipflop())
     p = gen_sub.add_parser("random-idem", help="seeded random idempotent letters")
     p.add_argument("-n", type=int, required=True, help="state count")
     p.add_argument("-k", type=int, required=True, help="letter count")
     p.add_argument("--seed", type=int, required=True, help="generator seed")
+    p.set_defaults(generate=lambda a: gen_random_idempotent(a.n, a.k, a.seed))
     gen.set_defaults(func=_cmd_gen)
 
     transform = sub.add_parser("transform", help="apply an automaton transform")
     transform_sub = transform.add_subparsers(dest="transform", required=True)
     p = transform_sub.add_parser(
-        "higgins", help="double the states; all letters become idempotent"
+        "higgins", parents=[file], help="double the states; all letters become idempotent"
     )
-    p.add_argument("file", help="SAF file, or - for stdin")
     p.set_defaults(func=_cmd_transform)
 
     p = sub.add_parser(
-        "analyze", parents=[budget], help="structural and synchronization report"
+        "analyze", parents=[budget, file], help="structural and synchronization report"
     )
-    p.add_argument("file", help="SAF file, or - for stdin")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser(
-        "shortest-word", parents=[budget], help="lexicographically least shortest reset word"
+        "shortest-word",
+        parents=[budget, file],
+        help="lexicographically least shortest reset word",
     )
-    p.add_argument("file", help="SAF file, or - for stdin")
     p.set_defaults(func=_cmd_shortest_word)
 
     p = sub.add_parser("verify", parents=[budget], help="run one verification claim")
@@ -221,20 +217,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="emit line-delimited records")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser(
-        "synchronize", help="constructive reset word (length <= n-1)"
-    )
-    p.add_argument(
+    # declared ahead of the file, so a bare `synchronize` names --idem2 first
+    idem2 = argparse.ArgumentParser(add_help=False)
+    idem2.add_argument(
         "--idem2",
         action="store_true",
         required=True,
         help="use the two-idempotent-letter unique-sink construction",
     )
-    p.add_argument("file", help="SAF file, or - for stdin")
+    p = sub.add_parser(
+        "synchronize", parents=[idem2, file], help="constructive reset word (length <= n-1)"
+    )
     p.set_defaults(func=_cmd_synchronize)
 
-    p = sub.add_parser("export-dot", help="emit the transition graph as DOT")
-    p.add_argument("file", help="SAF file, or - for stdin")
+    p = sub.add_parser("export-dot", parents=[file], help="emit the transition graph as DOT")
     p.set_defaults(func=_cmd_export_dot)
 
     p = sub.add_parser("chi", help="encode or decode words of the doubled automaton")

@@ -268,8 +268,6 @@ def is_strongly_connected(dfa: Dfa) -> bool:
     Equivalently, state 0 reaches every state along the transitions and
     along the reversed transitions.
     """
-    if dfa.n == 1:
-        return True
     return _reaches_all(list(zip(*dfa.delta))) and _reaches_all(_predecessors(dfa))
 
 

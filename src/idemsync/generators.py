@@ -60,10 +60,9 @@ def higgins_transform(dfa: Dfa) -> HigginsImage:
     synchronizes exactly when the base does, with twice the threshold.
     """
     n = dfa.n
-    rows = []
-    for base_row in dfa.delta:
-        rows.append(tuple(range(n)) + tuple(base_row))
-    primed = tuple(n + i for i in range(n))
+    identity = tuple(range(n))
+    primed = tuple(range(n, 2 * n))
+    rows = [identity + row for row in dfa.delta]
     rows.append(primed + primed)
     letters = tuple(f"a{j + 1}" for j in range(dfa.k)) + ("b",)
     result = Dfa(2 * n, letters, tuple(rows))

@@ -27,7 +27,6 @@ from .analysis import (
     SyncResult,
     _letter_shapes,
     is_proper,
-    is_synchronizing,
     reset_threshold,
     verify_reset_word,
 )
@@ -293,21 +292,22 @@ def _claim_cor3(budget: SearchBudget) -> list[ClaimRecord]:
 def _claim_prop5(budget: SearchBudget) -> list[ClaimRecord]:
     def check():
         rng = random.Random(PROP5_SEED)
-        synchronizing = 0
-        violations = 0
+        synchronizing = violations = truncated = 0
         for _ in range(PROP5_SAMPLES):
             n = rng.randint(2, 12)
-            dfa = gen_random_idempotent(n, 2, rng.randrange(2**32))
-            if not is_synchronizing(dfa):
-                continue
-            synchronizing += 1
-            res = reset_threshold(dfa, budget)
-            if res.threshold > n - 1:
-                violations += 1
+            res = reset_threshold(gen_random_idempotent(n, 2, rng.randrange(2**32)), budget)
+            # the search runs only after the pair test passed, so a
+            # truncated sample synchronizes, with an unknown threshold
+            synchronizing += res.synchronizing or res.truncated
+            truncated += res.truncated
+            violations += res.synchronizing and res.threshold > n - 1
+        measured = f"synchronizing={synchronizing} violations={violations}"
+        if truncated:
+            measured += f" truncated={truncated}"
         return (
             "ret <= n-1 for every synchronizing sample",
-            f"synchronizing={synchronizing} violations={violations}",
-            violations == 0,
+            measured,
+            violations == 0 and not truncated,
         )
 
     return [_record("prop5", f"samples={PROP5_SAMPLES}", check)]

@@ -23,7 +23,7 @@ from .core import (
     StateSet,
     UsageError,
     Word,
-    find_sinks,
+    _sink_list,
     is_idempotent_letter,
     is_strongly_connected,
 )
@@ -163,7 +163,7 @@ def synchronize_sink_2idem(dfa: Dfa) -> Word:
     for j in range(2):
         if not is_idempotent_letter(dfa, j):
             raise UsageError(f"letter {dfa.letters[j]!r} is not idempotent")
-    sinks = find_sinks(dfa).members()
+    sinks = _sink_list(dfa)
     if len(sinks) != 1:
         raise UsageError(f"expected a unique sink, found {len(sinks)}")
     sink = sinks[0]

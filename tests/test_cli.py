@@ -157,6 +157,16 @@ class TestAnalyze:
             "search: skipped (100000 states exceed the subset-search capacity 63)",
         ]
 
+    def test_sink_free_past_the_pair_table_cap_exits_two(self, capsys, monkeypatch):
+        # a 10**10-byte pair table is refused with one line, not attempted
+        assert main(["gen", "cerny", "-n", "100000"]) == 0
+        monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
+        assert main(["analyze", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
 
 class TestShortestWord:
     def test_cerny3_witness(self, tmp_path, capsys):

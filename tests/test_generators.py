@@ -140,6 +140,19 @@ class TestHigginsTransform:
             assert is_idempotent_letter(doubled, j)
             assert letter_rank(doubled, j) == dfa.n
 
+    @settings(max_examples=100)
+    @given(dfas())
+    def test_whole_table(self, dfa):
+        n, k = dfa.n, dfa.k
+        doubled = higgins_transform(dfa).result
+        assert doubled.letters == tuple(f"a{j + 1}" for j in range(k)) + ("b",)
+        for j in range(k):
+            for i in range(n):
+                assert doubled.delta[j][i] == i
+                assert doubled.delta[j][n + i] == dfa.delta[j][i]
+        for i in range(n):
+            assert doubled.delta[k][i] == doubled.delta[k][n + i] == n + i
+
     @settings(max_examples=40)
     @given(dfas(max_n=5))
     def test_preserves_strong_connectivity(self, dfa):

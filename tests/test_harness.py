@@ -3,7 +3,14 @@ import json
 import pytest
 
 from idemsync import SearchBudget, UsageError
-from idemsync.harness import CLAIMS, ClaimRecord, HarnessReport, run_harness
+from idemsync.cli import main
+from idemsync.harness import (
+    CLAIMS,
+    PROP5_SAMPLES,
+    ClaimRecord,
+    HarnessReport,
+    run_harness,
+)
 
 
 def test_claim_registry_is_complete():
@@ -89,3 +96,35 @@ def test_smallest_doubled_instance_is_the_known_red_record():
     failing = [r for r in report.records if not r.passed]
     assert [r.params for r in failing] == ["n=4"]
     assert "proper=False" in failing[0].measured
+
+
+def test_prop5_default_budget_record():
+    (record,) = run_harness(["prop5"]).records
+    assert record.passed
+    assert record.measured == "synchronizing=198 violations=0"
+
+
+def test_prop5_truncated_samples_fail_the_record():
+    (record,) = run_harness(["prop5"], SearchBudget(max_subsets=2)).records
+    assert record.passed is False
+    assert "truncated=" in record.measured
+
+
+def test_prop5_verify_under_a_truncating_budget_exits_one(capsys):
+    assert main(["verify", "prop5", "--budget", "2"]) == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_prop5_runs_one_pair_test_per_sample(monkeypatch):
+    import idemsync.analysis as analysis
+
+    calls = []
+    pair_test = analysis.is_synchronizing
+
+    def counted(dfa):
+        calls.append(dfa)
+        return pair_test(dfa)
+
+    monkeypatch.setattr(analysis, "is_synchronizing", counted)
+    run_harness(["prop5"])
+    assert len(calls) == PROP5_SAMPLES

@@ -17,11 +17,15 @@ from idemsync import (
     Dfa,
     StateSet,
     UsageError,
+    analyze_automaton,
+    gen_cerny,
     gen_flipflop,
     gen_ladder,
     gen_random_dfa,
     gen_random_idempotent,
+    higgins_transform,
     image_of_set,
+    is_proper,
     is_synchronizing,
     synchronize_sink_2idem,
     verify_reset_word,
@@ -78,6 +82,22 @@ class TestPairTest:
     def test_one_sink_matches_reference(self, dfa):
         # every input has exactly one sink, so reachability decides
         assert is_synchronizing(dfa) == reference_is_synchronizing(dfa)
+
+    def test_table_past_the_cap_is_refused(self):
+        # 16,385 sink-free states need 16,385**2 > 2**28 bytes; the
+        # boundary n = 16,384 is left out, as its closure takes minutes
+        message = (
+            "16385 states without a sink need a 268468225-byte pair table, "
+            "over the cap of 268435456 bytes"
+        )
+        with pytest.raises(UsageError) as info:
+            is_synchronizing(gen_cerny(16_385))
+        assert str(info.value) == message
+        with pytest.raises(UsageError, match="over the cap of 268435456 bytes"):
+            analyze_automaton(gen_cerny(16_385))
+        # three letters, so properness reaches the pair test
+        with pytest.raises(UsageError, match="16386 states without a sink"):
+            is_proper(higgins_transform(gen_cerny(8_193)).result)
 
 
 class TestPeeling:
