@@ -203,8 +203,8 @@ def reset_threshold(
     level, the index of its parent in the previous level times ``k``
     plus the letter; the witness is read back through these arrays.
 
-    Raises ``UsageError`` when the automaton has more than ``capacity``
-    states; use :func:`is_synchronizing` alone for such sizes.
+    Raises ``UsageError`` past ``capacity`` states; there :func:`is_synchronizing`
+    alone decides, up to 16,384 states (its pair-table cap) for sink-free inputs.
     """
     n = dfa.n
     if n > capacity:

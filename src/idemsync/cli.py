@@ -69,14 +69,8 @@ def _budget(args: argparse.Namespace) -> SearchBudget:
     return DEFAULT_BUDGET
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
-    sys.stdout.write(render_automaton(args.generate(args)))
-    return 0
-
-
-def _cmd_transform(args: argparse.Namespace) -> int:
-    dfa = _read_dfa(args.file)
-    sys.stdout.write(render_automaton(higgins_transform(dfa).result))
+def _cmd_write(args: argparse.Namespace) -> int:
+    sys.stdout.write(args.text(args))
     return 0
 
 
@@ -141,11 +135,6 @@ def _cmd_synchronize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_export_dot(args: argparse.Namespace) -> int:
-    sys.stdout.write(export_dot(_read_dfa(args.file)))
-    return 0
-
-
 def _cmd_chi(args: argparse.Namespace) -> int:
     base = _read_dfa(args.file)
     image = higgins_transform(base)
@@ -191,14 +180,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, required=True, help="letter count")
     p.add_argument("--seed", type=int, required=True, help="generator seed")
     p.set_defaults(generate=lambda a: gen_random_idempotent(a.n, a.k, a.seed))
-    gen.set_defaults(func=_cmd_gen)
+    gen.set_defaults(func=_cmd_write, text=lambda a: render_automaton(a.generate(a)))
 
     transform = sub.add_parser("transform", help="apply an automaton transform")
     transform_sub = transform.add_subparsers(dest="transform", required=True)
     p = transform_sub.add_parser(
         "higgins", parents=[file], help="double the states; all letters become idempotent"
     )
-    p.set_defaults(func=_cmd_transform)
+    p.set_defaults(
+        func=_cmd_write,
+        text=lambda a: render_automaton(higgins_transform(_read_dfa(a.file)).result),
+    )
 
     p = sub.add_parser(
         "analyze", parents=[budget, file], help="structural and synchronization report"
@@ -231,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_synchronize)
 
     p = sub.add_parser("export-dot", parents=[file], help="emit the transition graph as DOT")
-    p.set_defaults(func=_cmd_export_dot)
+    p.set_defaults(func=_cmd_write, text=lambda a: export_dot(_read_dfa(a.file)))
 
     p = sub.add_parser("chi", help="encode or decode words of the doubled automaton")
     p.add_argument("direction", choices=("encode", "decode"))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .core import Dfa, UsageError, Word, _check_letters
 
@@ -133,8 +133,7 @@ def gen_ladder(n: int) -> Dfa:
     sink.  The reset threshold is exactly ``n - 1``, which is as large
     as any synchronizing automaton with two idempotent letters can reach.
     """
-    if n < 1:
-        raise UsageError(f"need at least 1 state, got {n}")
+    _check_states(n)
     a = tuple(i + 1 if i % 2 == 1 and i < n - 1 else i for i in range(n))
     b = tuple(i + 1 if i % 2 == 0 and i < n - 1 else i for i in range(n))
     return Dfa(n, ("a", "b"), (a, b))
@@ -174,32 +173,33 @@ def gen_random_idempotent(n: int, k: int, seed: int) -> Dfa:
     a uniform member of the image.  Identical arguments always produce
     the identical automaton.
     """
-    if n < 1:
-        raise UsageError(f"need at least 1 state, got {n}")
-    if k < 1:
-        raise UsageError(f"need at least 1 letter, got {k}")
-    rng = random.Random(seed)
-    choice = rng.choice
-    rows = []
-    for _ in range(k):
+
+    def draw_row(rng: random.Random) -> tuple[int, ...]:
+        choice = rng.choice
         # flags[q] is "1" when bit q of the image set is set; reading
         # all n bits at once keeps the letter linear in n
         flags = format(rng.randrange(1, 1 << n), f"0{n}b")[::-1]
         image = [q for q, flag in enumerate(flags) if flag == "1"]
-        rows.append(
-            tuple(q if flag == "1" else choice(image) for q, flag in enumerate(flags))
-        )
-    return Dfa(n, tuple(f"x{j + 1}" for j in range(k)), tuple(rows))
+        return tuple(q if flag == "1" else choice(image) for q, flag in enumerate(flags))
+
+    return _seeded(n, k, seed, draw_row)
 
 
 def gen_random_dfa(n: int, k: int, seed: int) -> Dfa:
     """Seeded uniform random automaton; used for sampling-based checks."""
+    return _seeded(n, k, seed, lambda rng: tuple(rng.randrange(n) for _ in range(n)))
+
+
+def _check_states(n: int) -> None:
     if n < 1:
         raise UsageError(f"need at least 1 state, got {n}")
+
+
+def _seeded(n: int, k: int, seed: int, draw_row: Callable[[random.Random], tuple]) -> Dfa:
+    """Letters ``x1 .. xk`` on ``n`` states, one row each from ``Random(seed)``."""
+    _check_states(n)
     if k < 1:
         raise UsageError(f"need at least 1 letter, got {k}")
     rng = random.Random(seed)
-    rows = tuple(
-        tuple(rng.randrange(n) for _ in range(n)) for _ in range(k)
-    )
+    rows = tuple(draw_row(rng) for _ in range(k))
     return Dfa(n, tuple(f"x{j + 1}" for j in range(k)), rows)

@@ -19,7 +19,7 @@ import json
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .analysis import (
     DEFAULT_BUDGET,
@@ -356,16 +356,10 @@ def run_harness(
     Records are ordered by claim id and then by the claim's own
     parameter order; failures are recorded, never raised.
     """
-    selected: Sequence[str]
-    if claims is None:
-        selected = sorted(CLAIMS)
-    else:
-        selected = sorted(set(claims))
-        unknown = [c for c in selected if c not in CLAIMS]
-        if unknown:
-            raise UsageError(
-                f"unknown claim ids {unknown}; known: {sorted(CLAIMS)}"
-            )
+    selected = sorted(set(CLAIMS if claims is None else claims))
+    unknown = [c for c in selected if c not in CLAIMS]
+    if unknown:
+        raise UsageError(f"unknown claim ids {unknown}; known: {sorted(CLAIMS)}")
     records: list[ClaimRecord] = []
     for claim in selected:
         records.extend(CLAIMS[claim](budget))

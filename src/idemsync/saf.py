@@ -61,7 +61,8 @@ def parse_automaton(text: str) -> Dfa:
         )
     if len(rows) > k:
         raise ParseError(rows[k][0], f"unexpected extra line after {k} letter rows")
-    letters: list[str] = []
+    # a dict keeps the row order and answers the duplicate check in O(1)
+    letters: dict[str, None] = {}
     table: list[tuple[int, ...]] = []
     for lineno, row in rows:
         fields = row.split()
@@ -83,7 +84,7 @@ def parse_automaton(text: str) -> Dfa:
                     lineno, f"state index {value} out of range [0, {n})"
                 )
             entries.append(value)
-        letters.append(name)
+        letters[name] = None
         table.append(tuple(entries))
     return Dfa(n, tuple(letters), tuple(table))
 

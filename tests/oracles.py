@@ -10,8 +10,10 @@ the pair test), :func:`reference_is_synchronizing` (the pair test over a
 reverse dict of pair predecessors),
 :func:`reference_synchronize_sink_2idem` (peeling by rescanning every
 predecessor each round, which reuses the library's preconditions and
-word check), the text layers :func:`reference_gen_random_idempotent`
-(one bit test per state on the image set),
+word check), the random generators :func:`reference_gen_random_idempotent`
+(one bit test per state on the image set) and
+:func:`reference_gen_random_dfa` (written out without the shared seeded
+scaffold), the text layers
 :func:`reference_export_dot` (one row lookup per state and letter) and
 :func:`reference_render_automaton`, and :func:`reference_image_of_set`
 (one n-bit walk per letter).
@@ -295,6 +297,19 @@ def reference_gen_random_idempotent(n: int, k: int, seed: int) -> Dfa:
             tuple(q if bits >> q & 1 else rng.choice(image) for q in range(n))
         )
     return Dfa(n, tuple(f"x{j + 1}" for j in range(k)), tuple(rows))
+
+
+def reference_gen_random_dfa(n: int, k: int, seed: int) -> Dfa:
+    """The earlier ``gen_random_dfa``, written out on its own."""
+    if n < 1:
+        raise UsageError(f"need at least 1 state, got {n}")
+    if k < 1:
+        raise UsageError(f"need at least 1 letter, got {k}")
+    rng = random.Random(seed)
+    rows = tuple(
+        tuple(rng.randrange(n) for _ in range(n)) for _ in range(k)
+    )
+    return Dfa(n, tuple(f"x{j + 1}" for j in range(k)), rows)
 
 
 def _reference_quote(label: str) -> str:

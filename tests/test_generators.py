@@ -246,6 +246,21 @@ class TestRandomGenerators:
                 break
         assert seen == wanted
 
+    @pytest.mark.parametrize(
+        "generate, args, message",
+        [
+            (gen_ladder, (0,), "need at least 1 state, got 0"),
+            (gen_random_idempotent, (0, 2, 1), "need at least 1 state, got 0"),
+            (gen_random_idempotent, (3, 0, 1), "need at least 1 letter, got 0"),
+            (gen_random_dfa, (0, 2, 1), "need at least 1 state, got 0"),
+            (gen_random_dfa, (3, 0, 1), "need at least 1 letter, got 0"),
+        ],
+    )
+    def test_size_rules(self, generate, args, message):
+        with pytest.raises(UsageError) as err:
+            generate(*args)
+        assert str(err.value) == message
+
     def test_random_dfa_shape_and_validation(self):
         dfa = gen_random_dfa(5, 3, 7)
         assert dfa.n == 5 and dfa.k == 3

@@ -40,6 +40,21 @@ def test_records_are_ordered_by_claim_id():
     assert claims[0] == "cerny"
 
 
+def test_default_selection_runs_every_claim_in_id_order():
+    report = run_harness()
+    assert len(report.records) == 47
+    assert list(dict.fromkeys(r.claim for r in report.records)) == sorted(CLAIMS)
+    red = [(r.claim, r.params) for r in report.records if not r.passed and not r.informative]
+    assert red == [("cor3", "n=4")]
+
+
+def test_repeated_claim_ids_run_once():
+    report = run_harness(["thm2", "cerny", "cerny"])
+    assert [(r.claim, r.params) for r in report.records] == [
+        ("cerny", f"n={n}") for n in range(2, 11)
+    ] + [("thm2", f"n={n}") for n in range(2, 10)]
+
+
 def test_unknown_claim_is_rejected():
     with pytest.raises(UsageError, match="unknown claim"):
         run_harness(["cerny", "bogus"])

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -117,6 +118,15 @@ class TestParseErrors:
         err = self._error("SAF 1\n2 1\nr 0 1\nextra 0 1\n")
         assert err.line == 4
         assert "extra" in str(err)
+
+    def test_duplicate_among_40000_letters(self):
+        rows = [f"x{j} 0" for j in range(40000)]
+        start = time.perf_counter()
+        assert parse_automaton("\n".join(["SAF 1", "1 40000", *rows])).k == 40000
+        assert time.perf_counter() - start < 2.0
+        rows[-1] = "x0 0"
+        err = self._error("\n".join(["SAF 1", "1 40000", *rows]))
+        assert str(err) == "line 40002: duplicate letter name 'x0'"
 
     def test_parse_error_is_a_usage_error(self):
         with pytest.raises(UsageError):

@@ -1,9 +1,9 @@
 """The linear text layers against their earlier implementations.
 
-``gen_random_idempotent``, ``export_dot`` and ``render_automaton`` must
-give byte for byte what the implementations they replaced give, kept in
-``oracles.py``; ``StateSet`` must agree with a plain ``set`` on
-membership, order and errors.
+``gen_random_idempotent``, ``gen_random_dfa``, ``export_dot`` and
+``render_automaton`` must give byte for byte what the implementations
+they replaced give, kept in ``oracles.py``; ``StateSet`` must agree with
+a plain ``set`` on membership, order and errors.
 """
 
 import random
@@ -23,6 +23,7 @@ from idemsync import (
 )
 from oracles import (
     reference_export_dot,
+    reference_gen_random_dfa,
     reference_gen_random_idempotent,
     reference_render_automaton,
 )
@@ -42,6 +43,13 @@ class TestRandomIdempotent:
         assert gen_random_idempotent(20000, 2, 11) == reference_gen_random_idempotent(
             20000, 2, 11
         )
+
+
+class TestRandomDfa:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 300), st.integers(1, 3), st.integers())
+    def test_matches_the_reference(self, n, k, seed):
+        assert gen_random_dfa(n, k, seed) == reference_gen_random_dfa(n, k, seed)
 
 
 @st.composite
