@@ -49,12 +49,12 @@ from .core import (
 class SearchBudget:
     """Resource limits for the subset search.
 
-    ``None`` means unlimited.  ``max_subsets`` bounds how many distinct
-    subsets may be discovered; ``max_depth`` bounds the word length
-    explored.
+    ``max_subsets`` bounds how many distinct subsets may be discovered,
+    ``2**24`` unless given; ``max_depth`` bounds the word length
+    explored.  ``None`` means unlimited.
     """
 
-    max_subsets: int | None = None
+    max_subsets: int | None = 1 << 24
     max_depth: int | None = None
 
     def __post_init__(self) -> None:
@@ -64,7 +64,7 @@ class SearchBudget:
             raise UsageError(f"max_depth must be positive, got {self.max_depth}")
 
 
-DEFAULT_BUDGET = SearchBudget(max_subsets=1 << 24)
+DEFAULT_BUDGET = SearchBudget()
 
 #: Largest state count the bit-packed subset search accepts by default.
 #: Callers with patience can raise it per call; the pair test has no limit.

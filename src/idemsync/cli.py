@@ -4,15 +4,11 @@ Exit codes: 0 on success, 1 when a verification claim fails, 2 on usage
 or parse errors.  Results go to standard output, diagnostics to standard
 error.  Automaton files use the SAF format; the file argument ``-``
 reads standard input, so generators pipe into the other commands.
-
-The environment variable ``IDEMSYNC_MAX_SUBSETS`` overrides the default
-subset budget of the exact search; ``--budget`` beats both.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Sequence
 
@@ -40,13 +36,13 @@ from .harness import CLAIMS, run_harness
 from .saf import parse_automaton, render_automaton
 from .two_idempotent import ContradictionError, synchronize_sink_2idem
 
-BUDGET_ENV = "IDEMSYNC_MAX_SUBSETS"
-
 
 def _read_dfa(path: str) -> Dfa:
     try:
         if path == "-":
             text = sys.stdin.read()
+            if not text.isascii():  # a byte that is not UTF-8 reads as a lone surrogate
+                text = text.encode("utf-8", "surrogatepass").decode("utf-8")
         else:
             with open(path, encoding="utf-8") as handle:
                 text = handle.read()
@@ -57,18 +53,6 @@ def _read_dfa(path: str) -> Dfa:
     return parse_automaton(text)
 
 
-def _budget(args: argparse.Namespace) -> SearchBudget:
-    if args.budget is not None:
-        return SearchBudget(max_subsets=args.budget)
-    env = os.environ.get(BUDGET_ENV)
-    if env is not None:
-        try:
-            return SearchBudget(max_subsets=int(env))
-        except ValueError:
-            raise UsageError(f"{BUDGET_ENV} must be an integer, got {env!r}") from None
-    return DEFAULT_BUDGET
-
-
 def _cmd_write(args: argparse.Namespace) -> int:
     sys.stdout.write(args.text(args))
     return 0
@@ -76,7 +60,7 @@ def _cmd_write(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     dfa = _read_dfa(args.file)
-    report = analyze_automaton(dfa, _budget(args))
+    report = analyze_automaton(dfa, SearchBudget(max_subsets=args.budget))
     print(f"states: {report.n}")
     print(f"letters: {' '.join(report.letters)}")
     for name, rank, idem in zip(
@@ -112,7 +96,7 @@ def _spell(dfa: Dfa, word: Word) -> str:
 
 def _cmd_shortest_word(args: argparse.Namespace) -> int:
     dfa = _read_dfa(args.file)
-    result = reset_threshold(dfa, _budget(args))
+    result = reset_threshold(dfa, SearchBudget(max_subsets=args.budget))
     if not result.synchronizing:
         reason = "search truncated by budget" if result.truncated else "not synchronizing"
         print(reason, file=sys.stderr)
@@ -122,7 +106,7 @@ def _cmd_shortest_word(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = run_harness([args.claim], _budget(args))
+    report = run_harness([args.claim], SearchBudget(max_subsets=args.budget))
     lines = report.jsonl_lines() if args.json else report.text_lines()
     for line in lines:
         print(line)
@@ -159,6 +143,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument("--budget", type=int, help="max subsets for the exact search")
+    budget.set_defaults(budget=DEFAULT_BUDGET.max_subsets)
     file = argparse.ArgumentParser(add_help=False)
     file.add_argument("file", help="SAF file, or - for stdin")
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from idemsync import (
+    DEFAULT_BUDGET,
     Dfa,
     SearchBudget,
     StateSet,
@@ -114,6 +115,11 @@ class TestResetThreshold:
         assert reset_threshold(gen_cerny(4), SearchBudget(max_depth=8)).truncated
         exact = reset_threshold(gen_cerny(4), SearchBudget(max_depth=9))
         assert exact.threshold == 9
+
+    def test_budget_defaults_to_the_subset_cap(self):
+        assert SearchBudget() == DEFAULT_BUDGET
+        assert SearchBudget(max_depth=9).max_subsets == 1 << 24
+        assert SearchBudget(max_subsets=None).max_subsets is None
 
     def test_budget_validation(self):
         with pytest.raises(UsageError):
@@ -380,7 +386,7 @@ LOWER_LAYERS = {
     "generators": {"core"},
     "saf": {"core"},
     "dot": {"core"},
-    "two_idempotent": {"core", "analysis"},
+    "two_idempotent": {"core"},
 }
 
 
@@ -405,3 +411,23 @@ class TestLayers:
     def test_every_module_is_covered(self):
         modules = {path.stem for path in PACKAGE.glob("*.py")}
         assert modules == set(LOWER_LAYERS) | {"harness", "cli", "__init__"}
+
+
+def _reads_environment(node: ast.AST) -> bool:
+    names = {"environ", "getenv"}
+    if isinstance(node, ast.Attribute):
+        return node.attr in names
+    if isinstance(node, ast.ImportFrom) and node.module == "os":
+        return any(alias.name in names for alias in node.names)
+    return False
+
+
+def test_no_module_reads_the_environment():
+    # every input, the search budget included, comes in through arguments
+    reads = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if _reads_environment(node)
+    ]
+    assert reads == []

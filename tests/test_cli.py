@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,8 @@ from idemsync import (
     render_automaton,
 )
 from idemsync.cli import main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def write_saf(tmp_path, dfa, name="input.saf"):
@@ -83,22 +89,12 @@ class TestAnalyze:
         assert "truncated: true" in out
         assert "synchronizing: false" in out
 
-    def test_env_var_sets_default_budget(self, tmp_path, capsys, monkeypatch):
+    def test_environment_does_not_set_the_budget(self, tmp_path, capsys, monkeypatch):
+        # the budget is --budget or its default, never a hidden input
         path = write_saf(tmp_path, gen_cerny(4))
         monkeypatch.setenv("IDEMSYNC_MAX_SUBSETS", "2")
         assert main(["analyze", path]) == 0
-        assert "truncated: true" in capsys.readouterr().out
-
-    def test_budget_flag_beats_env_var(self, tmp_path, capsys, monkeypatch):
-        path = write_saf(tmp_path, gen_cerny(4))
-        monkeypatch.setenv("IDEMSYNC_MAX_SUBSETS", "2")
-        assert main(["analyze", path, "--budget", "100000"]) == 0
         assert "truncated: false" in capsys.readouterr().out
-
-    def test_bad_env_var_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
-        path = write_saf(tmp_path, gen_cerny(4))
-        monkeypatch.setenv("IDEMSYNC_MAX_SUBSETS", "lots")
-        assert main(["analyze", path]) == 2
 
     def test_over_capacity_ladder_skips_the_search(self, capsys, monkeypatch):
         assert main(["gen", "ladder", "-n", "100"]) == 0
@@ -293,6 +289,30 @@ class TestErrors:
         assert main(["shortest-word", "-"]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "not UTF-8" in err
+
+    @pytest.mark.parametrize(
+        "setting, bad",
+        [
+            ({"LC_ALL": "C.UTF-8"}, b"\xff"),
+            ({"LC_ALL": "C"}, b"\xff"),
+            ({"PYTHONIOENCODING": "utf-8:surrogatepass"}, b"\xed\xa0\x80"),
+        ],
+    )
+    def test_non_utf8_stdin_fails_under_every_locale(self, setting, bad):
+        # each setting reads the bad bytes from stdin as lone surrogates
+        env = {k: v for k, v in os.environ.items() if not k.startswith(("PYTHONIO", "LC_"))}
+        env.update(setting)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "idemsync.cli", "analyze", "-"],
+            input=b"SAF 1\n1 1\n" + bad + b" 0\n",
+            env=env,
+            capture_output=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr == b"error: - is not UTF-8: bad byte at offset 10\n"
 
     def test_malformed_saf_reports_line(self, tmp_path, capsys):
         path = tmp_path / "bad.saf"

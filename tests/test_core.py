@@ -307,6 +307,12 @@ class TestCongruence:
         pi = make_congruence(c4, range(4))
         assert quotient(c4, pi) == c4
 
+    def test_quotient_rejects_a_congruence_of_another_automaton(self):
+        pi = make_congruence(gen_cerny(3), range(3))
+        with pytest.raises(UsageError) as err:
+            quotient(gen_cerny(4), pi)
+        assert str(err.value) == "congruence covers 3 states, expected 4"
+
     def test_total_partition_quotient_is_one_state(self):
         c4 = gen_cerny(4)
         q = quotient(c4, make_congruence(c4, [0, 0, 0, 0]))

@@ -9,6 +9,7 @@ from idemsync.harness import (
     PROP5_SAMPLES,
     ClaimRecord,
     HarnessReport,
+    Lemma1Report,
     run_harness,
 )
 
@@ -104,6 +105,15 @@ def test_jsonl_records_carry_all_fields():
 def test_budget_is_threaded_through():
     report = run_harness(["cerny"], budget=SearchBudget(max_subsets=2))
     assert not report.ok
+
+
+def test_lemma1_counts_every_failing_sample(monkeypatch):
+    import idemsync.harness as harness
+
+    monkeypatch.setattr(harness, "check_lemma1", lambda dfa: Lemma1Report(dfa.n, (), (), False))
+    (record,) = run_harness(["lemma1"]).records
+    assert record.passed is False
+    assert record.measured == "violations=200"
 
 
 def test_smallest_doubled_instance_is_the_known_red_record():

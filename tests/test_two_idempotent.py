@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -138,6 +139,24 @@ class TestSynchronizeSink:
         word = synchronize_sink_2idem(ladder)
         assert len(word) <= n - 1
         assert verify_reset_word(ladder, word)
+
+    def test_long_ladder_is_linear(self):
+        # the word is checked against the peel order, not walked
+        start = time.perf_counter()
+        word = synchronize_sink_2idem(gen_ladder(20_000))
+        assert len(word) == 19_999
+        assert time.perf_counter() - start < 2
+
+    def test_wrong_peel_order_fails_verification(self, monkeypatch):
+        import idemsync.two_idempotent as two_idempotent
+
+        # with every state taken as predecessor-free, the relabelled
+        # ladder is peeled against its transitions
+        ladder = gen_ladder(12)
+        rows = tuple(tuple(11 - row[11 - q] for q in range(12)) for row in ladder.delta)
+        monkeypatch.setattr(two_idempotent, "_in_degrees", lambda dfa: [0] * dfa.n)
+        with pytest.raises(RuntimeError, match="failed verification"):
+            synchronize_sink_2idem(Dfa(12, ladder.letters, rows))
 
     def test_one_state_needs_the_empty_word(self):
         dfa = Dfa(1, ("a", "b"), ((0,), (0,)))
