@@ -1,14 +1,15 @@
 """Synchronization analysis: decision, exact thresholds, witness words.
 
 Two complementary engines live here.  :func:`is_synchronizing` runs the
-polynomial pair-merging test and never explores subsets: it closes the
+polynomial pair-merging test and never explores subsets: it restricts
+the automaton to its terminal strongly connected component, closes the
 merged pairs backward over per-letter inverse lists, keeps one flag per
-ordered pair in an ``n**2``-byte table, and stops as soon as every pair
-is merged.  :func:`reset_threshold` performs a breadth-first search
-over the power automaton, starting from the full state set, and returns
-the exact threshold together with the lexicographically least shortest
-reset word.  The search is budgeted; the pair test runs first so
-non-synchronizing inputs never trigger an exponential walk.
+ordered pair of the component in a byte table, and stops as soon as
+every pair is merged.  :func:`reset_threshold` performs a breadth-first
+search over the power automaton, starting from the full state set, and
+returns the exact threshold together with the lexicographically least
+shortest reset word.  The search is budgeted; the pair test runs first
+so non-synchronizing inputs never trigger an exponential walk.
 
 The search is level-synchronous.  Subsets are bit sets, and the image of
 a whole level under a letter is computed from per-letter lookup tables,
@@ -38,10 +39,12 @@ from .core import (
     _predecessors,
     _reaches_all,
     _sink_list,
+    _terminal_component,
     image_of_set,
     is_idempotent_letter,
     is_strongly_connected,
     letter_rank,
+    subautomaton,
 )
 
 
@@ -67,10 +70,12 @@ class SearchBudget:
 DEFAULT_BUDGET = SearchBudget()
 
 #: Largest state count the bit-packed subset search accepts by default.
-#: Callers with patience can raise it per call; the pair test has no limit.
+#: Callers with patience can raise it per call; the pair test is bounded
+#: only by its table cap below.
 DEFAULT_CAPACITY = 63
 
-# Largest pair table, in bytes, the pair test allocates: n <= 16,384 states
+# Largest pair table, in bytes, the pair test allocates: a terminal
+# component of at most 16,384 states
 _PAIR_TABLE_CAP = 1 << 28
 
 
@@ -126,26 +131,39 @@ def is_synchronizing(dfa: Dfa) -> bool:
     yield the merged pairs ``(p, q)`` with ``p`` in ``j``'s preimage of
     ``u`` and ``q`` in its preimage of ``v``.  Starting from the
     diagonal, the first pairs found are those that one letter merges.
-    Each pair is expanded once, in ``O(k * n**2)`` steps; the side
-    tables are the ``O(k * n)`` inverse lists and one ``n**2``-byte
+    Each pair is expanded once, in ``O(k * m**2)`` steps; the side
+    tables are the ``O(k * m)`` inverse lists and one ``m**2``-byte
     table of merged flags.  The closure stops as soon as every pair is
-    merged, and it needs no budget.  Sinks answer in ``O(k * n)`` steps,
-    before the table is allocated: two distinct sinks never merge, and
-    with exactly one sink the automaton synchronizes exactly when every
-    state reaches it.  A sink-free automaton whose table would exceed
-    ``2**28`` bytes (more than 16,384 states) raises ``UsageError``.
+    merged, and it needs no budget.
+
+    Here ``m`` is the size of a terminal component, a strongly
+    connected component that no transition leaves: the automaton
+    synchronizes exactly when it has only one and its restriction to
+    that one synchronizes (Volkov, LATA 2008).  Finding it, and checking
+    that every state reaches it, takes ``O(k * n)`` steps, before the
+    table is allocated.  Two distinct sinks never merge, and a single
+    sink is a one-state component; a sink-free input gets its first
+    terminal component from one Tarjan pass.  When the component's
+    table would exceed ``2**28`` bytes (more than 16,384 states), the
+    automaton raises ``UsageError``.
     """
-    n = dfa.n
     sinks = _sink_list(dfa)
     if len(sinks) > 1:
         return False
-    if sinks:
-        return _reaches_all(_predecessors(dfa), sinks[0])
+    component = sinks or _terminal_component(dfa)
+    n = len(component)
+    # a state that cannot reach the component reaches a second terminal one
+    if n < dfa.n and not _reaches_all(_predecessors(dfa), component[0]):
+        return False
+    if n == 1:
+        return True
     if n * n > _PAIR_TABLE_CAP:
         raise UsageError(
             f"{n} states without a sink need a {n * n}-byte pair table, "
             f"over the cap of {_PAIR_TABLE_CAP} bytes"
         )
+    if n < dfa.n:
+        dfa = subautomaton(dfa, StateSet.of(component, dfa.n))
     inverses = []
     for row in dfa.delta:
         inverse: list[list[int]] = [[] for _ in range(n)]
@@ -204,7 +222,8 @@ def reset_threshold(
     plus the letter; the witness is read back through these arrays.
 
     Raises ``UsageError`` past ``capacity`` states; there :func:`is_synchronizing`
-    alone decides, up to 16,384 states (its pair-table cap) for sink-free inputs.
+    alone decides, for sink-free inputs up to a terminal component of
+    16,384 states (its pair-table cap).
     """
     n = dfa.n
     if n > capacity:

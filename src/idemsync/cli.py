@@ -1,14 +1,17 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 when a verification claim fails, 2 on usage
-or parse errors.  Results go to standard output, diagnostics to standard
-error.  Automaton files use the SAF format; the file argument ``-``
-reads standard input, so generators pipe into the other commands.
+or parse errors, 141 (the shell's code for a death by ``SIGPIPE``) when
+the reader closes standard output early, with nothing on standard error.
+Results go to standard output, diagnostics to standard error.  Automaton
+files use the SAF format; the file argument ``-`` reads standard input,
+so generators pipe into the other commands.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Sequence
 
@@ -223,10 +226,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader fails here, not at exit
+        return code
     except (ContradictionError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # what is still buffered goes to devnull, so the flush at exit passes
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -296,6 +296,38 @@ def _reaches_all(adjacency: Sequence[Sequence[int]], start: int = 0) -> bool:
     return count == len(adjacency)
 
 
+def _terminal_component(dfa: Dfa) -> list[int]:
+    """The states of a strongly connected component that no transition
+    leaves, in discovery order: the first component an iterative Tarjan
+    search from state 0 completes.  All ``n`` states exactly when the
+    automaton is strongly connected."""
+    successors = list(zip(*dfa.delta))
+    # nothing is completed before the first component, so the search
+    # stack of Tarjan's algorithm is the discovery order itself
+    order = [0]
+    index = [-1] * dfa.n
+    index[0] = 0
+    low = [0] * dfa.n
+    path = [(0, iter(successors[0]))]
+    while True:
+        q, targets = path[-1]
+        for t in targets:
+            if index[t] < 0:
+                index[t] = low[t] = len(order)
+                order.append(t)
+                path.append((t, iter(successors[t])))
+                break
+            if low[t] < low[q]:
+                low[q] = low[t]
+        else:
+            if low[q] == index[q]:
+                return order[index[q] :]
+            path.pop()
+            parent = path[-1][0]
+            if low[q] < low[parent]:
+                low[parent] = low[q]
+
+
 def subautomaton(dfa: Dfa, s: StateSet) -> Dfa:
     """Restriction of the automaton to the letter-closed state set ``s``.
 

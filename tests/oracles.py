@@ -33,6 +33,7 @@ from idemsync import (
     SyncResult,
     UsageError,
     find_sinks,
+    gen_cerny,
     is_idempotent_letter,
     is_synchronizing,
     verify_reset_word,
@@ -131,6 +132,19 @@ def inflate(base: Dfa, sizes: list[int], seed: int) -> tuple[Dfa, list[int]]:
             new_row.append(first[target] + rng.randrange(sizes[target]))
         rows.append(tuple(new_row))
     return Dfa(total, base.letters, tuple(rows)), block_of
+
+
+def cerny_with_tail(m: int, tail: int) -> Dfa:
+    """Černý ``m`` with a transient tail of ``tail`` states, none a sink.
+
+    Under ``s1``, tail state ``m + i`` moves to ``m + i + 1`` and the last
+    one to Černý state 0; under ``s2`` every tail state moves to 0.  The
+    Černý states are the one terminal component.
+    """
+    cerny = gen_cerny(m)
+    s1 = cerny.delta[0] + tuple(range(m + 1, m + tail)) + (0,)
+    s2 = cerny.delta[1] + (0,) * tail
+    return Dfa(m + tail, cerny.letters, (s1, s2))
 
 
 def reference_reset_threshold(

@@ -69,3 +69,42 @@ def idempotent_sink_dfas(draw, max_n: int = 40) -> Dfa:
             )
         )
     return Dfa(n, ("a", "b"), tuple(rows))
+
+
+@st.composite
+def unconnected_sink_free_dfas(
+    draw, max_core: int = 8, max_tail: int = 8, max_k: int = 3
+) -> Dfa:
+    """Sink-free automata that are not strongly connected.
+
+    Either one random core with a transient tail that falls into it, or
+    two disjoint random cores (with an optional tail), which give two
+    terminal components.  The first letter cycles through each core, so
+    every core is strongly connected and has no sink; every letter sends
+    a tail state to a later tail state or into a core.  The states are
+    then relabelled by a random permutation.
+    """
+    k = draw(st.integers(1, max_k))
+    two_cores = draw(st.booleans())
+    sizes = [draw(st.integers(2, max_core)) for _ in range(1 + two_cores)]
+    core = sum(sizes)
+    n = core + draw(st.integers(0 if two_cores else 1, max_tail))
+    rows = [[0] * n for _ in range(k)]
+    start = 0
+    for size in sizes:
+        for q in range(start, start + size):
+            rows[0][q] = start + (q - start + 1) % size
+            for row in rows[1:]:
+                row[q] = draw(st.integers(start, start + size - 1))
+        start += size
+    for q in range(core, n):
+        for row in rows:
+            row[q] = draw(st.sampled_from([*range(core), *range(q + 1, n)]))
+    perm = draw(st.permutations(range(n)))
+    delta = []
+    for row in rows:
+        new = [0] * n
+        for q, t in enumerate(row):
+            new[perm[q]] = perm[t]
+        delta.append(tuple(new))
+    return Dfa(n, tuple(f"x{j + 1}" for j in range(k)), tuple(delta))

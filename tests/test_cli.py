@@ -17,6 +17,7 @@ from idemsync import (
     render_automaton,
 )
 from idemsync.cli import main
+from oracles import cerny_with_tail
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -162,6 +163,20 @@ class TestAnalyze:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_tail_past_the_pair_table_cap_is_answered(self, capsys, monkeypatch):
+        # 20,050 states, but the terminal component is the 50 Černý states
+        text = render_automaton(cerny_with_tail(50, 20_000))
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(["analyze", "-"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[-4:] == [
+            "sinks: -",
+            "strongly_connected: false",
+            "synchronizing: true",
+            "search: skipped (20050 states exceed the subset-search capacity 63)",
+        ]
 
 
 class TestShortestWord:
@@ -313,6 +328,28 @@ class TestErrors:
         assert proc.returncode == 2
         assert proc.stdout == b""
         assert proc.stderr == b"error: - is not UTF-8: bad byte at offset 10\n"
+
+    @pytest.mark.parametrize("argv", [["analyze", "-"], ["gen", "ladder", "-n", "3"]])
+    def test_closed_stdout_exits_quietly(self, argv):
+        # the read end is closed before the child starts, so its first
+        # write to standard output meets a broken pipe
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "idemsync.cli", *argv],
+                input=render_automaton(gen_cerny(4)).encode(),
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == 141
 
     def test_malformed_saf_reports_line(self, tmp_path, capsys):
         path = tmp_path / "bad.saf"

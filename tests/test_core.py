@@ -34,8 +34,9 @@ from idemsync import (
     word_from_names,
     word_to_names,
 )
+from idemsync.core import _terminal_component
 from oracles import closure, inflate, naive_strongly_connected, reference_image_of_set
-from strategies import dfas, dfas_with_words
+from strategies import dfas, dfas_with_words, unconnected_sink_free_dfas
 
 IDENTITY3 = Dfa(3, ("i",), ((0, 1, 2),))
 
@@ -244,6 +245,35 @@ class TestSinksAndConnectivity:
     def test_a_sink_blocks_strong_connectivity(self, dfa):
         if len(find_sinks(dfa)) > 0:
             assert not is_strongly_connected(dfa)
+
+
+class TestTerminalComponent:
+    @staticmethod
+    def check_terminal(dfa):
+        """The component is a set of distinct states that no letter
+        leaves and that is strongly connected; returns its size."""
+        component = _terminal_component(dfa)
+        assert len(set(component)) == len(component)
+        sub = subautomaton(dfa, StateSet.of(component, dfa.n))
+        assert is_strongly_connected(sub)
+        return len(component)
+
+    @settings(max_examples=200, deadline=None)
+    @given(dfas(max_n=24, max_k=4))
+    def test_every_state_exactly_when_strongly_connected(self, dfa):
+        assert (self.check_terminal(dfa) == dfa.n) == is_strongly_connected(dfa)
+
+    @settings(max_examples=100, deadline=None)
+    @given(unconnected_sink_free_dfas())
+    def test_leaves_out_a_tail_or_a_second_component(self, dfa):
+        assert self.check_terminal(dfa) < dfa.n
+
+    def test_known_components(self):
+        assert _terminal_component(gen_ladder(5)) == [4]
+        assert sorted(_terminal_component(gen_cerny(6))) == list(range(6))
+        # state 0 reaches both cycles; the search enters {1, 2} first
+        dfa = Dfa(5, ("a", "b"), ((1, 2, 1, 4, 3), (3, 1, 2, 4, 3)))
+        assert sorted(_terminal_component(dfa)) == [1, 2]
 
 
 class TestSubautomaton:

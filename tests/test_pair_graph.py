@@ -7,6 +7,7 @@ lowest-free-index word, the same errors.
 """
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -31,11 +32,17 @@ from idemsync import (
     verify_reset_word,
 )
 from oracles import (
+    cerny_with_tail,
     reference_image_of_set,
     reference_is_synchronizing,
     reference_synchronize_sink_2idem,
 )
-from strategies import dfas, dfas_with_words, idempotent_sink_dfas
+from strategies import (
+    dfas,
+    dfas_with_words,
+    idempotent_sink_dfas,
+    unconnected_sink_free_dfas,
+)
 
 
 def peel_outcome(synchronize, dfa):
@@ -82,6 +89,35 @@ class TestPairTest:
     def test_one_sink_matches_reference(self, dfa):
         # every input has exactly one sink, so reachability decides
         assert is_synchronizing(dfa) == reference_is_synchronizing(dfa)
+
+    @settings(max_examples=200, deadline=None)
+    @given(unconnected_sink_free_dfas())
+    def test_unconnected_sink_free_matches_reference(self, dfa):
+        # a transient tail, or a second terminal component
+        assert is_synchronizing(dfa) == reference_is_synchronizing(dfa)
+
+    def test_strategy_yields_both_answers(self):
+        answers = set()
+
+        @settings(max_examples=100, deadline=None, database=None)
+        @given(unconnected_sink_free_dfas())
+        def collect(dfa):
+            answers.add(is_synchronizing(dfa))
+
+        collect()
+        assert answers == {True, False}
+
+    def test_tail_past_the_cap_is_answered(self):
+        # 20,050 states would need a 402,002,500-byte table; the terminal
+        # component, the 50 Černý states, needs 2,500 bytes
+        start = time.perf_counter()
+        assert is_synchronizing(cerny_with_tail(50, 20_000))
+        assert time.perf_counter() - start < 2
+        # two disjoint copies of Černý 10,000 are two terminal components,
+        # which reachability tells apart before any table is built
+        cerny = gen_cerny(10_000)
+        rows = tuple(row + tuple(t + 10_000 for t in row) for row in cerny.delta)
+        assert not is_synchronizing(Dfa(20_000, cerny.letters, rows))
 
     def test_table_past_the_cap_is_refused(self):
         # 16,385 sink-free states need 16,385**2 > 2**28 bytes; the
