@@ -18,6 +18,9 @@ from typing import Iterable, Iterator, Sequence
 Word = tuple[int, ...]
 """A finite, possibly empty sequence of letter indices."""
 
+# true when every type an iterable yields is exactly ``int``, so not ``bool``
+_all_int = frozenset((int,)).issuperset
+
 
 class UsageError(ValueError):
     """An operation was invoked with arguments that violate its contract."""
@@ -71,8 +74,8 @@ class Dfa:
         Distinct non-empty letter names without whitespace.
     delta : tuple of tuple of int
         Letter-major transition table; ``delta[j][q]`` is the image of
-        state ``q`` under letter ``j``.  Every entry lies in ``[0, n)``
-        and every row has exactly ``n`` entries.
+        state ``q`` under letter ``j``.  Every entry is an ``int`` (not a
+        ``bool``) in ``[0, n)`` and every row has exactly ``n`` entries.
     """
 
     n: int
@@ -81,14 +84,14 @@ class Dfa:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "letters", tuple(self.letters))
-        object.__setattr__(self, "delta", tuple(tuple(row) for row in self.delta))
+        object.__setattr__(self, "delta", tuple(map(tuple, self.delta)))
         if self.n < 1:
             raise UsageError(f"state count must be positive, got {self.n}")
         if not self.letters:
             raise UsageError("at least one letter is required")
         seen: set[str] = set()
         for name in self.letters:
-            if not name or any(c.isspace() for c in name):
+            if not name or any(map(str.isspace, name)):
                 raise UsageError(f"bad letter name {name!r}")
             if name in seen:
                 raise UsageError(f"duplicate letter name {name!r}")
@@ -97,17 +100,24 @@ class Dfa:
             raise UsageError(
                 f"expected {len(self.letters)} transition rows, got {len(self.delta)}"
             )
-        for j, row in enumerate(self.delta):
-            if len(row) != self.n:
+        n = self.n
+        for name, row in zip(self.letters, self.delta):
+            if len(row) != n:
                 raise UsageError(
-                    f"row for letter {self.letters[j]!r} has {len(row)} entries, "
-                    f"expected {self.n}"
+                    f"row for letter {name!r} has {len(row)} entries, expected {n}"
                 )
+            # three C-level passes over the row (exact int type, then
+            # range); the ordered scan runs only to name the first bad entry
+            if _all_int(map(type, row)) and min(row) >= 0 and max(row) < n:
+                continue
             for q, t in enumerate(row):
-                if not 0 <= t < self.n:
+                if type(t) is not int:
                     raise UsageError(
-                        f"transition {self.letters[j]!r}: {q} -> {t} leaves [0, {self.n})"
+                        f"transition {name!r}: {q} -> {t!r} has type "
+                        f"{type(t).__name__}, expected int"
                     )
+                if not 0 <= t < n:
+                    raise UsageError(f"transition {name!r}: {q} -> {t} leaves [0, {n})")
 
     @property
     def k(self) -> int:

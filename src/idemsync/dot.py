@@ -2,25 +2,69 @@
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import add, lt
+from typing import Iterator, Sequence
+
 from .core import Dfa
+
+# Up to this many letters, a state's edge lines depend on one of at most
+# 541 shapes (the weak orders of five targets), so they are formatted from
+# a template cached per shape, and the shapes of all states come from
+# k * (k - 1) C-level comparison passes over whole rows.  Past it, most
+# states of a random automaton have a shape of their own, and building a
+# template per state is slower than writing the lines directly (3,000
+# random states with six letters: 41 against 23 ms, Python 3.11.7 on two
+# vCPUs).
+_SHAPED_LETTERS = 5
 
 
 def _quote(label: str) -> str:
     return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def export_dot(dfa: Dfa) -> str:
-    """Render the transition graph as DOT text.
+def _shapes(delta: Sequence[Sequence[int]], n: int) -> Iterator[tuple[int, ...]]:
+    """For each state ``q``, the tuple whose entry ``j`` counts the letters
+    that send ``q`` strictly lower than letter ``j`` does.
 
-    One node per state, numbered.  Parallel transitions are merged into
-    a single edge whose label joins the letter names with commas in
-    letter order.  Node and edge order is fixed by state index, so the
-    output is bit-identical across runs.
+    Two states have the same shape exactly when their targets share the
+    same ties and the same order, which is all the edge layout depends on.
     """
-    lines = ["digraph automaton {", "  rankdir=LR;", "  node [shape=circle];"]
-    # state numbers are digits, which need no escaping
-    lines.extend(f'  {q} [label="{q}"];' for q in range(dfa.n))
-    # quoted edge label for each tuple of letter indices, built once
+    below = []
+    for j, row in enumerate(delta):
+        count: Iterator[int] = repeat(0, n)
+        for i, other in enumerate(delta):
+            if i != j:
+                count = map(add, count, map(lt, other, row))
+        below.append(count)
+    return zip(*below)
+
+
+class _EdgeTemplates(dict):
+    """Shape -> ``str.format`` template of one state's edge lines, built on
+    first use: field 0 is the state, field ``j + 1`` the target of letter
+    ``j``, and each label is quoted once per shape."""
+
+    def __init__(self, letters: Sequence[str]):
+        super().__init__()
+        self.letters = letters
+
+    def __missing__(self, shape: tuple[int, ...]) -> str:
+        groups: dict[int, list[int]] = {}
+        for j, rank in enumerate(shape):
+            groups.setdefault(rank, []).append(j)
+        lines = []
+        for _, indices in sorted(groups.items()):
+            label = _quote(",".join(self.letters[j] for j in indices))
+            label = label.replace("{", "{{").replace("}", "}}")
+            lines.append(f"  {{0}} -> {{{indices[0] + 1}}} [label={label}];")
+        template = self[shape] = "\n".join(lines)
+        return template
+
+
+def _edges_by_state(dfa: Dfa) -> Iterator[str]:
+    """Edge lines state by state, for alphabets past ``_SHAPED_LETTERS``;
+    each tuple of letter indices is quoted once."""
     labels: dict[tuple[int, ...], str] = {}
     for q, column in enumerate(zip(*dfa.delta)):
         by_target: dict[int, list[int]] = {}
@@ -31,8 +75,29 @@ def export_dot(dfa: Dfa) -> str:
             label = labels.get(key)
             if label is None:
                 label = labels[key] = _quote(",".join(dfa.letters[j] for j in key))
-            lines.append(f"  {q} -> {target} [label={label}];")
+            yield f"  {q} -> {target} [label={label}];"
+
+
+def export_dot(dfa: Dfa) -> str:
+    """Render the transition graph as DOT text.
+
+    One node per state, numbered.  Parallel transitions are merged into
+    a single edge whose label joins the letter names with commas in
+    letter order.  Node and edge order is fixed by state index, so the
+    output is bit-identical across runs.
+    """
+    n = dfa.n
+    # state numbers are digits, which need no escaping; the node lines
+    # are joined before the edges exist, so they are never alive together
+    nodes = "\n".join([f'  {q} [label="{q}"];' for q in map(str, range(n))])
+    if dfa.k <= _SHAPED_LETTERS:
+        templates = _EdgeTemplates(dfa.letters)
+        shapes = _shapes(dfa.delta, n)
+        edges = map(str.format, map(templates.__getitem__, shapes), range(n), *dfa.delta)
+    else:
+        edges = _edges_by_state(dfa)
     # the closing line carries the final newline: one join, and no
     # second full copy of the text at the point of peak memory
-    lines.append("}\n")
-    return "\n".join(lines)
+    return "\n".join(
+        ["digraph automaton {", "  rankdir=LR;", "  node [shape=circle];", nodes, *edges, "}\n"]
+    )

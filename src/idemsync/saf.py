@@ -14,6 +14,8 @@ parsed file yields its canonical form.
 
 from __future__ import annotations
 
+import json
+
 from .core import Dfa, UsageError
 
 
@@ -65,35 +67,60 @@ def parse_automaton(text: str) -> Dfa:
     letters: dict[str, None] = {}
     table: list[tuple[int, ...]] = []
     for lineno, row in rows:
-        fields = row.split()
-        name, targets = fields[0], fields[1:]
+        name, *rest = row.split(None, 1)
         if name in letters:
             raise ParseError(lineno, f"duplicate letter name {name!r}")
-        if len(targets) != n:
-            raise ParseError(
-                lineno, f"letter {name!r} has {len(targets)} targets, expected {n}"
-            )
-        entries = []
-        for t in targets:
-            try:
-                value = int(t)
-            except ValueError:
-                raise ParseError(lineno, f"bad state index {t!r}") from None
-            if not 0 <= value < n:
-                raise ParseError(
-                    lineno, f"state index {value} out of range [0, {n})"
-                )
-            entries.append(value)
         letters[name] = None
-        table.append(tuple(entries))
+        table.append(_state_indices(lineno, name, rest[0] if rest else "", n))
     return Dfa(n, tuple(letters), tuple(table))
+
+
+def _state_indices(lineno: int, name: str, text: str, n: int) -> tuple[int, ...]:
+    """The targets of letter ``name``, the rest of its row, as integers in
+    ``[0, n)``.
+
+    A row of ASCII digit runs between single spaces, as rendered, is read
+    in one C-level pass by the JSON decoder, which reads each run as
+    ``int`` does or refuses it (a leading zero).  Any other row, and one
+    with the wrong count or an index out of range, takes the token-by-token
+    scan, which names the first fault.
+    """
+    digits = text.replace(" ", "")
+    if digits.isascii() and digits.isdigit():
+        try:
+            row = json.loads("[" + text.replace(" ", ",") + "]")
+        except ValueError:  # a leading zero, two spaces in a row, or too many digits
+            pass
+        else:
+            # digit runs are never negative
+            if len(row) == n and max(row) < n:
+                return tuple(row)
+    targets = text.split()
+    if len(targets) != n:
+        raise ParseError(
+            lineno, f"letter {name!r} has {len(targets)} targets, expected {n}"
+        )
+    entries = []
+    for t in targets:
+        try:
+            value = int(t)
+        except ValueError:
+            raise ParseError(lineno, f"bad state index {t!r}") from None
+        if not 0 <= value < n:
+            raise ParseError(
+                lineno, f"state index {value} out of range [0, {n})"
+            )
+        entries.append(value)
+    return tuple(entries)
 
 
 def render_automaton(dfa: Dfa) -> str:
     """Canonical SAF text for an automaton; stable across runs."""
+    # each state number is formatted once, however many entries name it
+    numerals = list(map(str, range(dfa.n)))
     lines = ["SAF 1", f"{dfa.n} {dfa.k}"]
     for name, row in zip(dfa.letters, dfa.delta):
-        lines.append(name + " " + " ".join(map(str, row)))
+        lines.append(name + " " + " ".join(map(numerals.__getitem__, row)))
     # an empty last line gives the final newline: one join, and no
     # second full copy of the text at the point of peak memory
     lines.append("")

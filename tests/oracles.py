@@ -16,7 +16,9 @@ word check), the random generators :func:`reference_gen_random_idempotent`
 scaffold), the text layers
 :func:`reference_export_dot` (one row lookup per state and letter) and
 :func:`reference_render_automaton`, and :func:`reference_image_of_set`
-(one n-bit walk per letter).
+(one n-bit walk per letter), :func:`reference_parse_automaton` (one
+``int`` call and one range check per token) and
+:func:`reference_transition_error` (one ordered scan of every entry).
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from idemsync import (
     is_synchronizing,
     verify_reset_word,
 )
+from idemsync.saf import ParseError, _significant_lines
 
 
 def brute_shortest_reset(dfa: Dfa) -> tuple[int, tuple[int, ...]] | None:
@@ -373,3 +376,75 @@ def reference_image_of_set(dfa: Dfa, s: StateSet, word) -> StateSet:
             rest ^= low
         bits = img
     return StateSet(bits, dfa.n)
+
+
+def reference_parse_automaton(text: str) -> Dfa:
+    """The earlier ``parse_automaton``: each target token is converted and
+    range-checked on its own, in order."""
+    lines = _significant_lines(text)
+    if not lines:
+        raise ParseError(1, "missing header (expected 'SAF 1')")
+    lineno, header = lines[0]
+    if header.split() != ["SAF", "1"]:
+        raise ParseError(lineno, f"bad header {header!r} (expected 'SAF 1')")
+    if len(lines) < 2:
+        raise ParseError(lineno, "missing dimensions line after header")
+    lineno, dims = lines[1]
+    parts = dims.split()
+    if len(parts) != 2:
+        raise ParseError(lineno, f"expected '<n> <k>', got {dims!r}")
+    try:
+        n, k = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ParseError(lineno, f"expected integers in {dims!r}") from None
+    if n < 1 or k < 1:
+        raise ParseError(lineno, f"state and letter counts must be positive, got {dims!r}")
+    rows = lines[2:]
+    if len(rows) < k:
+        raise ParseError(
+            lines[-1][0], f"expected {k} letter rows, found {len(rows)}"
+        )
+    if len(rows) > k:
+        raise ParseError(rows[k][0], f"unexpected extra line after {k} letter rows")
+    # a dict keeps the row order and answers the duplicate check in O(1)
+    letters: dict[str, None] = {}
+    table: list[tuple[int, ...]] = []
+    for lineno, row in rows:
+        fields = row.split()
+        name, targets = fields[0], fields[1:]
+        if name in letters:
+            raise ParseError(lineno, f"duplicate letter name {name!r}")
+        if len(targets) != n:
+            raise ParseError(
+                lineno, f"letter {name!r} has {len(targets)} targets, expected {n}"
+            )
+        entries = []
+        for t in targets:
+            try:
+                value = int(t)
+            except ValueError:
+                raise ParseError(lineno, f"bad state index {t!r}") from None
+            if not 0 <= value < n:
+                raise ParseError(
+                    lineno, f"state index {value} out of range [0, {n})"
+                )
+            entries.append(value)
+        letters[name] = None
+        table.append(tuple(entries))
+    return Dfa(n, tuple(letters), tuple(table))
+
+
+def reference_transition_error(n: int, letters, delta) -> str | None:
+    """The message ``Dfa`` gives for the first bad transition entry, found
+    by one scan in row order and then state order (rows of the right
+    length assumed), or None when every entry is an ``int`` in ``[0, n)``."""
+    for name, row in zip(letters, delta):
+        for q, t in enumerate(row):
+            if type(t) is not int:
+                return (
+                    f"transition {name!r}: {q} -> {t!r} has type "
+                    f"{type(t).__name__}, expected int"
+                )
+            if not 0 <= t < n:
+                return f"transition {name!r}: {q} -> {t} leaves [0, {n})"
+    return None

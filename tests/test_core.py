@@ -35,10 +35,20 @@ from idemsync import (
     word_to_names,
 )
 from idemsync.core import _terminal_component
-from oracles import closure, inflate, naive_strongly_connected, reference_image_of_set
+from oracles import (
+    closure,
+    inflate,
+    naive_strongly_connected,
+    reference_image_of_set,
+    reference_transition_error,
+)
 from strategies import dfas, dfas_with_words, unconnected_sink_free_dfas
 
 IDENTITY3 = Dfa(3, ("i",), ((0, 1, 2),))
+
+
+class _Index(int):
+    """An ``int`` subclass, which a transition table refuses like ``bool``."""
 
 
 class TestDfaValidation:
@@ -52,6 +62,54 @@ class TestDfaValidation:
             Dfa(2, ("a",), ((0, 2),))
         with pytest.raises(UsageError):
             Dfa(2, ("a",), ((0, -1),))
+
+    @pytest.mark.parametrize(
+        "entry, kind",
+        [(1.5, "float"), (1.0, "float"), (True, "bool"), (False, "bool"),
+         ("1", "str"), (None, "NoneType"), (_Index(1), "_Index")],
+    )
+    def test_rejects_entries_that_are_not_ints(self, entry, kind):
+        with pytest.raises(UsageError) as info:
+            Dfa(2, ("a",), ((0, entry),))
+        assert str(info.value) == (
+            f"transition 'a': 1 -> {entry!r} has type {kind}, expected int"
+        )
+
+    def test_first_bad_entry_is_named_across_kinds(self):
+        with pytest.raises(UsageError) as info:
+            Dfa(3, ("a", "b"), ((0, 1, 2), (0, 7, True)))
+        assert str(info.value) == "transition 'b': 1 -> 7 leaves [0, 3)"
+        with pytest.raises(UsageError) as info:
+            Dfa(3, ("a", "b"), ((0, 1, 2), (0, 0.5, -1)))
+        assert str(info.value).startswith("transition 'b': 1 -> 0.5 has type float")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_message_matches_the_ordered_scan(self, data):
+        # two rows, each with two bad entries of any kind, in a valid table
+        n = data.draw(st.integers(2, 6))
+        k = data.draw(st.integers(2, 4))
+        valid = st.integers(0, n - 1)
+        bad = (
+            st.integers(n, n + 3) | st.integers(-3, -1) | st.floats(0, n - 1)
+            | st.booleans() | st.sampled_from(["0", None, _Index(0)])
+        )
+        delta = [data.draw(st.lists(valid, min_size=n, max_size=n)) for _ in range(k)]
+        for j in data.draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True)):
+            for q in data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)):
+                delta[j][q] = data.draw(bad)
+        letters = tuple(f"x{j + 1}" for j in range(k))
+        expected = reference_transition_error(n, letters, delta)
+        assert expected is not None
+        with pytest.raises(UsageError) as info:
+            Dfa(n, letters, delta)
+        assert str(info.value) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(dfas(max_n=10, max_k=4))
+    def test_valid_tables_pass_the_ordered_scan(self, dfa):
+        assert reference_transition_error(dfa.n, dfa.letters, dfa.delta) is None
+        assert Dfa(dfa.n, list(dfa.letters), [list(row) for row in dfa.delta]) == dfa
 
     def test_rejects_duplicate_letters(self):
         with pytest.raises(UsageError, match="duplicate"):

@@ -2,8 +2,11 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idemsync import (
+    Dfa,
     ParseError,
     UsageError,
     gen_cerny,
@@ -16,6 +19,7 @@ from idemsync import (
     parse_automaton,
     render_automaton,
 )
+from oracles import reference_parse_automaton
 
 FLIPFLOP_TEXT = "SAF 1\n2 2\na 0 0\nb 1 1\n"
 
@@ -131,3 +135,79 @@ class TestParseErrors:
     def test_parse_error_is_a_usage_error(self):
         with pytest.raises(UsageError):
             parse_automaton("")
+
+
+def _outcome(parse, text):
+    """The parsed automaton, or the error's line and message."""
+    try:
+        return parse(text)
+    except ParseError as err:
+        return err.line, str(err)
+
+
+# spellings that int() accepts or refuses besides plain ASCII digits
+ODD_TOKENS = ["x", "+1", "1_0", "\u0661", "\u0663", "-0", "01", "-1", "1.0", "0x1",
+              "\u00b2", "1e1", "_1", "+"]
+
+
+@st.composite
+def saf_texts(draw) -> str:
+    """SAF texts whose rows may hold odd, negative or out-of-range tokens,
+    or one token too many or too few, at up to three places."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 3))
+    lines = ["SAF 1", f"{n} {k}"]
+    for j in range(k):
+        tokens = [str(draw(st.integers(0, n - 1))) for _ in range(n)]
+        for _ in range(draw(st.integers(0, 3))):
+            bad = draw(st.sampled_from(ODD_TOKENS) | st.integers(-2, n + 12).map(str))
+            tokens[draw(st.integers(0, n - 1))] = bad
+        tokens = tokens[: n + draw(st.sampled_from([0, 0, 0, 0, -1]))]
+        tokens += ["0"] * draw(st.sampled_from([0, 0, 0, 0, 1]))
+        sep = draw(st.sampled_from([" ", "  ", "\t"]))
+        lines.append(sep.join([f"x{j + 1}", *tokens]))
+    return "\n".join(lines) + "\n"
+
+
+class TestParseDifferential:
+    """``parse_automaton`` against the token-by-token parser it replaced:
+    the same automaton, or the same message on the same line."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(saf_texts())
+    def test_matches_the_token_loop(self, text):
+        assert _outcome(parse_automaton, text) == _outcome(reference_parse_automaton, text)
+
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [
+            # a bad token after an out-of-range one in the same row
+            ("r 5 x 0", (3, "line 3: state index 5 out of range [0, 3)")),
+            ("r 0 -1 x", (3, "line 3: state index -1 out of range [0, 3)")),
+            ("r x 5 0", (3, "line 3: bad state index 'x'")),
+            ("r 0 1_0 2", (3, "line 3: state index 10 out of range [0, 3)")),
+            ("r 0 1.0 2", (3, "line 3: bad state index '1.0'")),
+            ("r 0 1 2\ns 0 3 x", (4, "line 4: state index 3 out of range [0, 3)")),
+            ("r +1 -0 \u0662", Dfa(3, ("r",), ((1, 0, 2),))),
+            ("r \u0661 0 1", Dfa(3, ("r",), ((1, 0, 1),))),
+            # leading zeros, which a JSON number may not have
+            ("r 0 00 02", Dfa(3, ("r",), ((0, 0, 2),))),
+            ("r 0 1\t2", Dfa(3, ("r",), ((0, 1, 2),))),
+            ("r 0 1 2 0", (3, "line 3: letter 'r' has 4 targets, expected 3")),
+        ],
+    )
+    def test_first_bad_token_and_int_spellings(self, rows, expected):
+        k = rows.count("\n") + 1
+        text = f"SAF 1\n3 {k}\n{rows}\n"
+        assert _outcome(parse_automaton, text) == expected
+        assert _outcome(reference_parse_automaton, text) == expected
+
+    def test_a_run_of_5000_digits(self):
+        # past int()'s default digit limit where there is one
+        text = "SAF 1\n2 1\nr 0 " + "1" * 5000 + "\n"
+        assert _outcome(parse_automaton, text) == _outcome(reference_parse_automaton, text)
+        assert isinstance(_outcome(parse_automaton, text), tuple)
+
+    def test_underscore_digits_within_range(self):
+        text = "SAF 1\n11 1\nr " + " ".join(["1_0"] * 11) + "\n"
+        assert parse_automaton(text) == Dfa(11, ("r",), ((10,) * 11,))

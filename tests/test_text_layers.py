@@ -54,12 +54,13 @@ class TestRandomDfa:
 
 @st.composite
 def escaped_letter_dfas(draw) -> Dfa:
-    """Small automata whose letter names contain quotes and backslashes."""
+    """Small automata whose letter names contain quotes, backslashes and
+    the braces of ``str.format`` fields."""
     letters = draw(
         st.lists(
-            st.text(alphabet='"\\a,', min_size=1, max_size=4),
+            st.text(alphabet='"\\a,{}0', min_size=1, max_size=4),
             min_size=1,
-            max_size=4,
+            max_size=8,
             unique=True,
         )
     )
@@ -71,8 +72,10 @@ def escaped_letter_dfas(draw) -> Dfa:
 
 
 class TestTextRendering:
-    @settings(max_examples=100, deadline=None)
-    @given(dfas(max_n=12, max_k=4))
+    # up to five letters the edges come from templates cached per shape,
+    # past five state by state
+    @settings(max_examples=150, deadline=None)
+    @given(dfas(max_n=12, max_k=8))
     def test_dot_matches_the_reference(self, dfa):
         assert export_dot(dfa) == reference_export_dot(dfa)
 
@@ -87,9 +90,10 @@ class TestTextRendering:
         assert render_automaton(dfa) == reference_render_automaton(dfa)
 
     def test_large_random_automaton(self):
-        dfa = gen_random_dfa(3000, 3, 4)
-        assert export_dot(dfa) == reference_export_dot(dfa)
-        assert render_automaton(dfa) == reference_render_automaton(dfa)
+        for k in (3, 5, 7):
+            dfa = gen_random_dfa(3000, k, 4)
+            assert export_dot(dfa) == reference_export_dot(dfa)
+            assert render_automaton(dfa) == reference_render_automaton(dfa)
 
 
 def _plain_bits(states) -> int:
