@@ -18,9 +18,6 @@ from typing import Iterable, Iterator, Sequence
 Word = tuple[int, ...]
 """A finite, possibly empty sequence of letter indices."""
 
-# true when every type an iterable yields is exactly ``int``, so not ``bool``
-_all_int = frozenset((int,)).issuperset
-
 
 class UsageError(ValueError):
     """An operation was invoked with arguments that violate its contract."""
@@ -106,9 +103,13 @@ class Dfa:
                 raise UsageError(
                     f"row for letter {name!r} has {len(row)} entries, expected {n}"
                 )
-            # three C-level passes over the row (exact int type, then
-            # range); the ordered scan runs only to name the first bad entry
-            if _all_int(map(type, row)) and min(row) >= 0 and max(row) < n:
+            # a bare loop: on CPython 3.11 it beats C-level type and
+            # min/max passes on short rows and matches them on long ones;
+            # the ordered scan runs only to name the first bad entry
+            for t in row:
+                if type(t) is not int or not 0 <= t < n:
+                    break
+            else:
                 continue
             for q, t in enumerate(row):
                 if type(t) is not int:

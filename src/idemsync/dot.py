@@ -2,80 +2,62 @@
 
 from __future__ import annotations
 
-from itertools import repeat
-from operator import add, lt
+from bisect import bisect_left
+from itertools import groupby, repeat, tee
 from typing import Iterator, Sequence
 
 from .core import Dfa
-
-# Up to this many letters, a state's edge lines depend on one of at most
-# 541 shapes (the weak orders of five targets), so they are formatted from
-# a template cached per shape, and the shapes of all states come from
-# k * (k - 1) C-level comparison passes over whole rows.  Past it, most
-# states of a random automaton have a shape of their own, and building a
-# template per state is slower than writing the lines directly (3,000
-# random states with six letters: 41 against 23 ms, Python 3.11.7 on two
-# vCPUs).
-_SHAPED_LETTERS = 5
 
 
 def _quote(label: str) -> str:
     return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _shapes(delta: Sequence[Sequence[int]], n: int) -> Iterator[tuple[int, ...]]:
+def _shapes(delta: Sequence[Sequence[int]]) -> Iterator[tuple[int, ...]]:
     """For each state ``q``, the tuple whose entry ``j`` counts the letters
     that send ``q`` strictly lower than letter ``j`` does.
 
     Two states have the same shape exactly when their targets share the
     same ties and the same order, which is all the edge layout depends on.
+    Each state's targets are sorted once and each letter's target is
+    placed among them by bisection, one C-level pass per letter; the
+    copies of the sorted targets advance together, so ``tee`` holds few.
     """
-    below = []
-    for j, row in enumerate(delta):
-        count: Iterator[int] = repeat(0, n)
-        for i, other in enumerate(delta):
-            if i != j:
-                count = map(add, count, map(lt, other, row))
-        below.append(count)
-    return zip(*below)
+    ordered = tee(map(sorted, zip(*delta)), len(delta))
+    return zip(*map(map, repeat(bisect_left), ordered, delta))
 
 
-class _EdgeTemplates(dict):
-    """Shape -> ``str.format`` template of one state's edge lines, built on
-    first use: field 0 is the state, field ``j + 1`` the target of letter
-    ``j``, and each label is quoted once per shape."""
+class _EdgeLines(dict):
+    """Tuple of letter indices -> ``str.format`` template of the edge line
+    they share: field 0 is the state and field ``j + 1`` the target of
+    letter ``j``; each label is quoted once."""
 
     def __init__(self, letters: Sequence[str]):
         super().__init__()
         self.letters = letters
 
+    def __missing__(self, indices: tuple[int, ...]) -> str:
+        label = _quote(",".join(map(self.letters.__getitem__, indices)))
+        label = label.replace("{", "{{").replace("}", "}}")
+        line = self[indices] = f"  {{0}} -> {{{indices[0] + 1}}} [label={label}];"
+        return line
+
+
+class _EdgeTemplates(dict):
+    """Shape -> template of one state's edge lines, built on first use:
+    the letters in order of their targets, tied letters on one line in
+    letter order (``sorted`` is stable)."""
+
+    def __init__(self, letters: Sequence[str]):
+        super().__init__()
+        self.lines = _EdgeLines(letters)
+
     def __missing__(self, shape: tuple[int, ...]) -> str:
-        groups: dict[int, list[int]] = {}
-        for j, rank in enumerate(shape):
-            groups.setdefault(rank, []).append(j)
-        lines = []
-        for _, indices in sorted(groups.items()):
-            label = _quote(",".join(self.letters[j] for j in indices))
-            label = label.replace("{", "{{").replace("}", "}}")
-            lines.append(f"  {{0}} -> {{{indices[0] + 1}}} [label={label}];")
-        template = self[shape] = "\n".join(lines)
+        rank = shape.__getitem__
+        order = sorted(range(len(shape)), key=rank)
+        lines = self.lines
+        template = self[shape] = "\n".join([lines[tuple(g)] for _, g in groupby(order, rank)])
         return template
-
-
-def _edges_by_state(dfa: Dfa) -> Iterator[str]:
-    """Edge lines state by state, for alphabets past ``_SHAPED_LETTERS``;
-    each tuple of letter indices is quoted once."""
-    labels: dict[tuple[int, ...], str] = {}
-    for q, column in enumerate(zip(*dfa.delta)):
-        by_target: dict[int, list[int]] = {}
-        for j, target in enumerate(column):
-            by_target.setdefault(target, []).append(j)
-        for target, indices in sorted(by_target.items()):
-            key = tuple(indices)
-            label = labels.get(key)
-            if label is None:
-                label = labels[key] = _quote(",".join(dfa.letters[j] for j in key))
-            yield f"  {q} -> {target} [label={label}];"
 
 
 def export_dot(dfa: Dfa) -> str:
@@ -90,12 +72,8 @@ def export_dot(dfa: Dfa) -> str:
     # state numbers are digits, which need no escaping; the node lines
     # are joined before the edges exist, so they are never alive together
     nodes = "\n".join([f'  {q} [label="{q}"];' for q in map(str, range(n))])
-    if dfa.k <= _SHAPED_LETTERS:
-        templates = _EdgeTemplates(dfa.letters)
-        shapes = _shapes(dfa.delta, n)
-        edges = map(str.format, map(templates.__getitem__, shapes), range(n), *dfa.delta)
-    else:
-        edges = _edges_by_state(dfa)
+    templates = map(_EdgeTemplates(dfa.letters).__getitem__, _shapes(dfa.delta))
+    edges = map(str.format, templates, range(n), *dfa.delta)
     # the closing line carries the final newline: one join, and no
     # second full copy of the text at the point of peak memory
     return "\n".join(
