@@ -11,14 +11,15 @@ returns the exact threshold together with the lexicographically least
 shortest reset word.  The search is budgeted; the pair test runs first
 so non-synchronizing inputs never trigger an exponential walk.
 
-The search is level-synchronous.  Subsets are bit sets, and the image of
-a whole level under a letter is computed from per-letter lookup tables,
-one 256-entry table per byte of the state set, the bit-parallel image
-trick of exact reset-word tools (Trahtman 2006; Kisielewicz, Kowalski
-and Szykuła 2015).  The frontier is held as packed bytes, and each level
-stores, per discovered subset, only the index of its parent in the
-previous level and the letter taken; the witness is read back through
-these per-level arrays.  Because subsets
+The search is level-synchronous, and a level costs a few C-level passes:
+the bit-parallel image trick of exact reset-word tools (Trahtman 2006;
+Kisielewicz, Kowalski and Szykuła 2015) applied to byte columns, each
+holding one byte of every frontier subset and mapped by a letter through
+256-byte ``bytes.translate`` tables into one buffer of ``8 * k * W`` bytes
+per frontier subset (``W`` 64-bit words per state set).  Each level
+stores, per discovered subset, only its parent's index and the letter
+taken; the next frontier and the witness are read through these arrays.
+Because subsets
 are discovered in frontier order and letters are tried in index order,
 the first singleton found ends the lexicographically least shortest
 reset word.
@@ -26,10 +27,11 @@ reset word.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import dataclass
-from itertools import chain
-from operator import or_
+from itertools import repeat
+from operator import lshift, or_
 
 from .core import (
     Dfa,
@@ -73,6 +75,11 @@ DEFAULT_BUDGET = SearchBudget()
 #: Callers with patience can raise it per call; the pair test is bounded
 #: only by its table cap below.
 DEFAULT_CAPACITY = 63
+
+# byte c of a state set lies at byte c ^ _FLIP of its native 64-bit words,
+# and _OR_BIT[b] translates each byte value v to v | 1 << b
+_FLIP = 7 if sys.byteorder == "big" else 0
+_OR_BIT = [bytes(map(or_, range(256), repeat(1 << b))) for b in range(8)]
 
 # Largest pair table, in bytes, the pair test allocates: a terminal
 # component of at most 16,384 states
@@ -213,13 +220,14 @@ def reset_threshold(
     reset word, and ``states_explored`` counts the subsets discovered up
     to and including it.
 
-    Subsets are bit sets, kept as ints in the seen set and as
-    little-endian bytes in the frontier.  Each letter carries one
-    256-entry table per byte of the state set, mapping every byte value
-    to the image of those states; a subset's image is the OR of one
-    lookup per byte.  Each discovered subset records, in an array per
-    level, the index of its parent in the previous level times ``k``
-    plus the letter; the witness is read back through these arrays.
+    Subsets are bit sets, kept as ints in the seen set.  A level gathers
+    its frontier into byte columns; each image byte is the OR of the
+    ``translate`` of one or a few columns, one 256-byte table per pair of
+    source byte and image byte.  The candidates fill ``k`` records of
+    ``W = ceil(n / 64)`` native 64-bit words per frontier subset, read as
+    ints in position order, the index of the parent in the previous level
+    times ``k`` plus the letter.  Each discovered subset keeps its
+    position in an array per level, for the next frontier and the witness.
 
     Raises ``UsageError`` past ``capacity`` states; there :func:`is_synchronizing`
     alone decides, for sink-free inputs up to a terminal component of
@@ -237,35 +245,52 @@ def reset_threshold(
     if n == 1:
         return SyncResult(True, 0, (), 1, False)
     k = dfa.k
-    width = (n + 7) // 8
-    tables = [_byte_tables(row) for row in dfa.delta]
+    words = (n + 63) // 64
+    step = 8 * words * k
+    # offset of an image byte in the records -> its (source byte, table) pairs
+    outputs: dict[int, list[tuple[int, bytes]]] = {}
+    for j, row in enumerate(dfa.delta):
+        for start in range(0, n, 8):
+            targets = row[start : start + 8]
+            for o in {t >> 3 for t in targets}:
+                table = b"\0"  # doubled once per state of the byte, padded to 256
+                for t in targets:
+                    table += table.translate(_OR_BIT[t & 7]) if t >> 3 == o else table
+                pairs = outputs.setdefault(8 * words * j + (o ^ _FLIP), [])
+                pairs.append((start >> 3, table.ljust(256, b"\0")))
     max_subsets = budget.max_subsets
     seen = {full}
     add_seen = seen.add
     # levels[d][i] = parent index * k + letter of the i-th subset at depth d + 1
     levels: list[array] = []
-    # a frontier is its subsets' bytes, little-endian, ``width`` per subset
-    frontier = full.to_bytes(width, "little")
+    # the frontier is the records at ``links`` of the 64-bit words ``cells``
+    full_words = [full >> s & (1 << 64) - 1 for s in range(0, n, 64)]
+    cells, links = memoryview(array("Q", full_words)), array("Q", [0])
     depth = 0
-    while frontier:
+    while links:
         if budget.max_depth is not None and depth >= budget.max_depth:
             return SyncResult(False, None, None, len(seen), True)
         depth += 1
-        # images[j] yields, lazily and in frontier order, each subset's
-        # image under letter j: the OR of one table lookup per byte
-        columns = [frontier[b::width] for b in range(width)]
-        images = []
-        for chunk_tables in tables:
-            image = map(chunk_tables[0].__getitem__, columns[0])
-            for table, column in zip(chunk_tables[1:], columns[1:]):
-                image = map(or_, image, map(table.__getitem__, column))
-            images.append(image)
+        gathered = [
+            array("Q", map(cells[w::words].__getitem__, links)).tobytes()
+            for w in range(words)
+        ]
+        columns = [gathered[c >> 3][(c ^ _FLIP) & 7 :: 8] for c in range(n + 7 >> 3)]
+        buf = bytearray(step * len(links))
+        for offset, sources in outputs.items():
+            bits = 0
+            for c, table in sources:
+                bits |= int.from_bytes(columns[c].translate(table), "little")
+            buf[offset::step] = bits.to_bytes(len(links), "little")
+        del gathered, columns  # freed before the seen set grows
+        cells = memoryview(buf).cast("Q")
+        candidates = cells[::words]
+        for w in range(1, words):
+            shifted = map(lshift, cells[w::words], repeat(64 * w))
+            candidates = map(or_, candidates, shifted)
         links = array("Q")
-        next_frontier = bytearray()
         add_link = links.append
-        add_next = next_frontier.extend
-        # position = parent index * k + letter, in discovery order
-        for position, img in enumerate(chain.from_iterable(zip(*images))):
+        for position, img in enumerate(candidates):
             if img in seen:
                 continue
             if max_subsets is not None and len(seen) >= max_subsets:
@@ -274,10 +299,8 @@ def reset_threshold(
             if img.bit_count() == 1:
                 witness = _spell_back(levels, position, k)
                 return SyncResult(True, depth, witness, len(seen), False)
-            add_next(img.to_bytes(width, "little"))
             add_link(position)
         levels.append(links)
-        frontier = next_frontier
     raise RuntimeError(
         "subset search exhausted without a singleton after a positive pair test"
     )
@@ -294,19 +317,6 @@ def _spell_back(levels: list[array], position: int, k: int) -> Word:
     word.append(position)  # a first-level position is the letter itself
     word.reverse()
     return tuple(word)
-
-
-def _byte_tables(row: tuple[int, ...]) -> list[list[int]]:
-    """One table per byte of a state set: entry ``v`` is the image, as
-    bits, of the states whose bits are set in byte value ``v``."""
-    tables = []
-    for start in range(0, len(row), 8):
-        table = [0]
-        for target in row[start : start + 8]:
-            bit = 1 << target
-            table += [x | bit for x in table]
-        tables.append(table)
-    return tables
 
 
 def verify_reset_word(dfa: Dfa, word: Word) -> bool:

@@ -34,15 +34,15 @@ def dfas_with_words(
 
 @st.composite
 def dfas_with_budgets(
-    draw, max_n: int = 20, max_k: int = 3
+    draw, max_n: int = 20, max_k: int = 3, max_subsets: int = 4096
 ) -> tuple[Dfa, SearchBudget]:
-    """Automata with subset-search budgets; unlimited subsets only where
-    the whole power set has at most 4096 members."""
+    """Automata with subset-search budgets of at most ``max_subsets``;
+    unlimited subsets only where the whole power set is no larger."""
     dfa = draw(dfas(max_n=max_n, max_k=max_k))
-    unlimited = st.none() if dfa.n <= 12 else st.nothing()
-    max_subsets = draw(unlimited | st.integers(1, 4096))
+    unlimited = st.none() if 1 << dfa.n <= max_subsets else st.nothing()
+    subsets = draw(unlimited | st.integers(1, max_subsets))
     max_depth = draw(st.none() | st.integers(1, 40))
-    return dfa, SearchBudget(max_subsets, max_depth)
+    return dfa, SearchBudget(subsets, max_depth)
 
 
 @st.composite

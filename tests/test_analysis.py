@@ -13,6 +13,7 @@ from idemsync import (
     SyncResult,
     UsageError,
     analyze_automaton,
+    chi_encode,
     check_corollary3,
     check_lemma1,
     check_theorem2,
@@ -190,6 +191,65 @@ class TestSearchEngine:
         assert reset_threshold(dfa, budget, n) == reference_reset_threshold(
             dfa, budget, n
         )
+
+    @settings(max_examples=40, deadline=None)
+    @given(dfas_with_budgets(max_n=140, max_k=5, max_subsets=2000))
+    def test_matches_reference_across_byte_and_word_boundaries(self, case):
+        dfa, budget = case
+        result = reset_threshold(dfa, budget, capacity=dfa.n)
+        assert result == reference_reset_threshold(dfa, budget, capacity=dfa.n)
+
+    @pytest.mark.parametrize("n", [8, 9, 63, 64, 65, 128, 129])
+    def test_scattering_and_gathering_letters(self, n):
+        # "reverse" sends a byte's states to one or two bytes on the far
+        # side, so an image byte can have two source bytes; "gather" sends
+        # every state into byte 0, whose image has every byte as a source;
+        # "shift" merges 0 and 1 and moves every other state down by one
+        reverse = tuple(n - 1 - q for q in range(n))
+        gather = tuple(q % 8 for q in range(n))
+        shift = tuple(max(q - 1, 0) for q in range(n))
+        dfa = Dfa(n, ("reverse", "gather", "shift"), (reverse, gather, shift))
+        budget = SearchBudget(max_subsets=2000)
+        result = reset_threshold(dfa, budget, capacity=n)
+        assert result == reference_reset_threshold(dfa, budget, capacity=n)
+        assert result.synchronizing
+        assert verify_reset_word(dfa, result.witness)
+
+    @pytest.mark.parametrize(
+        "dfa",
+        [gen_cerny(10), higgins_transform(gen_cerny(6)).result],
+        ids=["cerny-10", "doubled-cerny-12"],
+    )
+    def test_budget_edges_match_reference(self, dfa):
+        full = reset_threshold(dfa)
+        assert full == reference_reset_threshold(dfa)
+        explored, threshold = full.states_explored, full.threshold
+        for budget in (
+            SearchBudget(max_subsets=explored),
+            SearchBudget(max_depth=threshold),
+        ):
+            assert reset_threshold(dfa, budget) == full
+            assert reference_reset_threshold(dfa, budget) == full
+        short = SearchBudget(max_subsets=explored - 1)
+        result = reset_threshold(dfa, short)
+        assert result == reference_reset_threshold(dfa, short)
+        assert result.truncated and result.states_explored == explored - 1
+        shallow = SearchBudget(max_depth=threshold - 1)
+        result = reset_threshold(dfa, shallow)
+        assert result == reference_reset_threshold(dfa, shallow)
+        assert result.truncated and result.threshold is None
+
+    @pytest.mark.parametrize("m", [15, 16])
+    def test_doubled_cerny_at_scale(self, m):
+        # the threshold is Corollary 3's n**2 / 2 - 2n + 2 at n = 2m; that
+        # the doubled witness is chi_encode of the base witness is only an
+        # observation (it fails for a one-state base), not a theorem
+        n = 2 * m
+        image = higgins_transform(gen_cerny(m))
+        doubled = reset_threshold(image.result)
+        assert doubled.threshold == n * n // 2 - 2 * n + 2 == (392, 450)[m - 15]
+        base = reset_threshold(gen_cerny(m))
+        assert doubled.witness == chi_encode(image, base.witness)
 
 
 class TestVerifyResetWord:
