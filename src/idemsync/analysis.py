@@ -1,10 +1,10 @@
 """Synchronization analysis: decision, exact thresholds, witness words.
 
 Two complementary engines live here.  :func:`is_synchronizing` runs the
-polynomial pair-merging test and never explores subsets: it restricts
-the automaton to its terminal strongly connected component, closes the
-merged pairs backward over per-letter inverse lists, keeps one flag per
-ordered pair of the component in a byte table, and stops as soon as
+polynomial pair-merging test and never explores subsets: on the terminal
+strongly connected component it closes the merged pairs backward over
+per-letter inverse lists read from the transition rows, keeps one flag
+per ordered pair of the component in a byte table, and stops as soon as
 every pair is merged.  :func:`reset_threshold` performs a breadth-first
 search over the power automaton, starting from the full state set, and
 returns the exact threshold together with the lexicographically least
@@ -46,7 +46,6 @@ from .core import (
     is_idempotent_letter,
     is_strongly_connected,
     letter_rank,
-    subautomaton,
 )
 
 
@@ -150,17 +149,23 @@ def is_synchronizing(dfa: Dfa) -> bool:
     that every state reaches it, takes ``O(k * n)`` steps, before the
     table is allocated.  Two distinct sinks never merge, and a single
     sink is a one-state component; a sink-free input gets its first
-    terminal component from one Tarjan pass.  When the component's
+    terminal component from one Tarjan pass.  Its inverse lists are read
+    from the transition rows, with no copy of the automaton.  When its
     table would exceed ``2**28`` bytes (more than 16,384 states), the
     automaton raises ``UsageError``.
     """
-    sinks = _sink_list(dfa)
+    return _pair_test(dfa.delta)
+
+
+def _pair_test(delta: tuple[tuple[int, ...], ...]) -> bool:
+    """The pair test on the transition rows of a valid automaton."""
+    sinks = _sink_list(delta)
     if len(sinks) > 1:
         return False
-    component = sinks or _terminal_component(dfa)
+    component = sinks or _terminal_component(delta)
     n = len(component)
     # a state that cannot reach the component reaches a second terminal one
-    if n < dfa.n and not _reaches_all(_predecessors(dfa), component[0]):
+    if n < len(delta[0]) and not _reaches_all(_predecessors(delta), component[0]):
         return False
     if n == 1:
         return True
@@ -169,12 +174,12 @@ def is_synchronizing(dfa: Dfa) -> bool:
             f"{n} states without a sink need a {n * n}-byte pair table, "
             f"over the cap of {_PAIR_TABLE_CAP} bytes"
         )
-    if n < dfa.n:
-        dfa = subautomaton(dfa, StateSet.of(component, dfa.n))
+    component.sort()  # the closure's state p is the input's state component[p]
+    index = dict(zip(component, range(n)))
     inverses = []
-    for row in dfa.delta:
+    for row in delta:
         inverse: list[list[int]] = [[] for _ in range(n)]
-        for p, t in enumerate(row):
+        for p, t in enumerate(map(index.__getitem__, map(row.__getitem__, component))):
             inverse[t].append(p)
         inverses.append(inverse)
     # merged[p * n + q] is set, symmetrically, once (p, q) is merged
@@ -334,21 +339,14 @@ def is_proper(dfa: Dfa) -> bool:
     Properness is defined for automata with more than two letters: the
     automaton must synchronize, and removing any single letter must
     leave a non-synchronizing automaton.  Each removal costs one pair
-    test, so no search budget is involved.
+    test on the other letters' rows, so no search budget is involved.
     """
     if dfa.k <= 2:
         return False
     if not is_synchronizing(dfa):
         return False
-    return all(
-        not is_synchronizing(_without_letter(dfa, j)) for j in range(dfa.k)
-    )
-
-
-def _without_letter(dfa: Dfa, j: int) -> Dfa:
-    letters = dfa.letters[:j] + dfa.letters[j + 1 :]
-    rows = dfa.delta[:j] + dfa.delta[j + 1 :]
-    return Dfa(dfa.n, letters, rows)
+    delta = dfa.delta
+    return not any(_pair_test(delta[:j] + delta[j + 1 :]) for j in range(dfa.k))
 
 
 def analyze_automaton(
@@ -365,7 +363,7 @@ def analyze_automaton(
         letters=dfa.letters,
         letter_ranks=ranks,
         letter_idempotent=idempotent,
-        sinks=tuple(_sink_list(dfa)),
+        sinks=tuple(_sink_list(dfa.delta)),
         strongly_connected=is_strongly_connected(dfa),
         sync=sync,
         synchronizing=is_synchronizing(dfa) if sync is None else sync.synchronizing,

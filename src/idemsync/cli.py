@@ -124,7 +124,8 @@ def _cmd_synchronize(args: argparse.Namespace) -> int:
 
 def _cmd_chi(args: argparse.Namespace) -> int:
     base = _read_dfa(args.file)
-    image = higgins_transform(base)
+    # the doubled letters a1 .. ak b and their indices depend on the alphabet only
+    image = higgins_transform(Dfa(1, base.letters, ((0,),) * base.k))
     if args.direction == "encode":
         word = word_from_names(base, args.letters)
         print(_spell(image.result, chi_encode(image, word)))

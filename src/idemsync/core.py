@@ -255,20 +255,23 @@ def is_idempotent_letter(dfa: Dfa, j: int) -> bool:
 
 def is_idempotent_word(dfa: Dfa, word: Sequence[int]) -> bool:
     """True when the selfmap induced by ``word`` equals its own square."""
-    once = [apply_word(dfa, q, word) for q in range(dfa.n)]
-    return all(once[once[q]] == once[q] for q in range(dfa.n))
+    _check_letters(dfa.k, word)
+    once = list(range(dfa.n))
+    for j in word:
+        once = list(map(dfa.delta[j].__getitem__, once))
+    return list(map(once.__getitem__, once)) == once
 
 
 def find_sinks(dfa: Dfa) -> StateSet:
     """States fixed by every letter."""
-    return StateSet.of(_sink_list(dfa), dfa.n)
+    return StateSet.of(_sink_list(dfa.delta), dfa.n)
 
 
-def _sink_list(dfa: Dfa) -> list[int]:
-    """States fixed by every letter, ascending, in ``O(k * n)`` steps
-    and without building a :class:`StateSet`."""
-    fixed: Iterable[int] = range(dfa.n)
-    for row in dfa.delta:
+def _sink_list(delta: Sequence[Sequence[int]]) -> list[int]:
+    """States fixed by every row of ``delta``, ascending, in ``O(k * n)``
+    steps and without building a :class:`StateSet`."""
+    fixed: Iterable[int] = range(len(delta[0]))
+    for row in delta:
         fixed = [q for q in fixed if row[q] == q]
     return list(fixed)
 
@@ -279,13 +282,13 @@ def is_strongly_connected(dfa: Dfa) -> bool:
     Equivalently, state 0 reaches every state along the transitions and
     along the reversed transitions.
     """
-    return _reaches_all(list(zip(*dfa.delta))) and _reaches_all(_predecessors(dfa))
+    return _reaches_all(list(zip(*dfa.delta))) and _reaches_all(_predecessors(dfa.delta))
 
 
-def _predecessors(dfa: Dfa) -> list[list[int]]:
-    """Entry ``t`` lists, with repeats, every state some letter sends to ``t``."""
-    inverse: list[list[int]] = [[] for _ in range(dfa.n)]
-    for row in dfa.delta:
+def _predecessors(delta: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Entry ``t`` lists, with repeats, every state some row sends to ``t``."""
+    inverse: list[list[int]] = [[] for _ in delta[0]]
+    for row in delta:
         for q, t in enumerate(row):
             inverse[t].append(q)
     return inverse
@@ -307,18 +310,18 @@ def _reaches_all(adjacency: Sequence[Sequence[int]], start: int = 0) -> bool:
     return count == len(adjacency)
 
 
-def _terminal_component(dfa: Dfa) -> list[int]:
+def _terminal_component(delta: Sequence[Sequence[int]]) -> list[int]:
     """The states of a strongly connected component that no transition
-    leaves, in discovery order: the first component an iterative Tarjan
-    search from state 0 completes.  All ``n`` states exactly when the
-    automaton is strongly connected."""
-    successors = list(zip(*dfa.delta))
+    of ``delta`` leaves, in discovery order: the first component an
+    iterative Tarjan search from state 0 completes.  All ``n`` states
+    exactly when the transitions are strongly connected."""
+    successors = list(zip(*delta))
     # nothing is completed before the first component, so the search
     # stack of Tarjan's algorithm is the discovery order itself
     order = [0]
-    index = [-1] * dfa.n
+    index = [-1] * len(successors)
     index[0] = 0
-    low = [0] * dfa.n
+    low = [0] * len(successors)
     path = [(0, iter(successors[0]))]
     while True:
         q, targets = path[-1]
@@ -412,7 +415,12 @@ def quotient(dfa: Dfa, pi: Congruence) -> Dfa:
 
 def word_from_names(dfa: Dfa, names: Iterable[str]) -> Word:
     """Translate letter names into a word of letter indices."""
-    return tuple(dfa.letter_index(name) for name in names)
+    index = dict(zip(dfa.letters, range(dfa.k)))
+    try:
+        return tuple(map(index.__getitem__, names))
+    except KeyError as missing:
+        dfa.letter_index(*missing.args)  # raises the "no letter named" error
+        raise
 
 
 def word_to_names(dfa: Dfa, word: Sequence[int]) -> tuple[str, ...]:

@@ -166,7 +166,7 @@ def synchronize_sink_2idem(dfa: Dfa) -> Word:
     for j in range(2):
         if not is_idempotent_letter(dfa, j):
             raise UsageError(f"letter {dfa.letters[j]!r} is not idempotent")
-    sinks = _sink_list(dfa)
+    sinks = _sink_list(dfa.delta)
     if len(sinks) != 1:
         raise UsageError(f"expected a unique sink, found {len(sinks)}")
     sink = sinks[0]

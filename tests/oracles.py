@@ -17,8 +17,11 @@ scaffold), the text layers
 :func:`reference_export_dot` (one row lookup per state and letter) and
 :func:`reference_render_automaton`, and :func:`reference_image_of_set`
 (one n-bit walk per letter), :func:`reference_parse_automaton` (one
-``int`` call and one range check per token) and
-:func:`reference_transition_error` (one ordered scan of every entry).
+``int`` call and one range check per token),
+:func:`reference_transition_error` (one ordered scan of every entry) and
+:func:`reference_is_idempotent_word` (one ``apply_word`` per state).
+:func:`reference_is_proper` builds every one-letter reduct as a
+:class:`Dfa` and asks :func:`reference_is_synchronizing` about it.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from idemsync import (
     StateSet,
     SyncResult,
     UsageError,
+    apply_word,
     find_sinks,
     gen_cerny,
     is_idempotent_letter,
@@ -251,6 +255,26 @@ def reference_is_synchronizing(dfa: Dfa) -> bool:
     return all(
         mergeable[p * n + q] for p in range(n) for q in range(p + 1, n)
     )
+
+
+def reference_is_proper(dfa: Dfa) -> bool:
+    """Properness from the whole-automaton pair test: more than two
+    letters, synchronizing, and no reduct by one letter synchronizing."""
+    if dfa.k <= 2 or not reference_is_synchronizing(dfa):
+        return False
+    for j in range(dfa.k):
+        letters = dfa.letters[:j] + dfa.letters[j + 1 :]
+        reduct = Dfa(dfa.n, letters, dfa.delta[:j] + dfa.delta[j + 1 :])
+        if reference_is_synchronizing(reduct):
+            return False
+    return True
+
+
+def reference_is_idempotent_word(dfa: Dfa, word) -> bool:
+    """The earlier ``is_idempotent_word``: the word is walked from every
+    state, checking its letters each time."""
+    once = [apply_word(dfa, q, word) for q in range(dfa.n)]
+    return all(once[once[q]] == once[q] for q in range(dfa.n))
 
 
 def reference_synchronize_sink_2idem(dfa: Dfa) -> tuple[int, ...]:

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idemsync import (
     DEFAULT_BUDGET,
@@ -35,9 +36,10 @@ from oracles import (
     brute_shortest_reset,
     closure,
     inflate,
+    reference_is_proper,
     reference_reset_threshold,
 )
-from strategies import dfas_with_budgets
+from strategies import dfas, dfas_with_budgets, unconnected_sink_free_dfas
 
 UNARY_CYCLE4 = Dfa(4, ("r",), ((1, 2, 3, 0),))
 ONE_STATE = Dfa(1, ("u",), ((0,),))
@@ -295,6 +297,27 @@ class TestIsProper:
         for _ in range(100):
             dfa = gen_random_dfa(rng.randint(2, 6), 3, rng.randrange(2**32))
             assert is_proper(dfa) == is_proper(higgins_transform(dfa).result)
+
+    @settings(max_examples=200, deadline=None)
+    @given(dfas(max_n=8, max_k=4).filter(lambda dfa: dfa.k >= 3))
+    def test_matches_reference(self, dfa):
+        assert is_proper(dfa) == reference_is_proper(dfa)
+
+    @settings(max_examples=150, deadline=None)
+    @given(unconnected_sink_free_dfas(max_k=4).filter(lambda dfa: dfa.k >= 3))
+    def test_matches_reference_with_tails_and_two_components(self, dfa):
+        assert is_proper(dfa) == reference_is_proper(dfa)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(dfas(max_n=5), unconnected_sink_free_dfas(max_core=4, max_tail=3))
+        .filter(lambda dfa: dfa.k >= 2)
+    )
+    def test_matches_reference_on_doublings(self, dfa):
+        # random draws are almost never proper; about one doubling in
+        # eight is, and the doublings of tailed bases keep their tails
+        doubled = higgins_transform(dfa).result
+        assert is_proper(doubled) == reference_is_proper(doubled)
 
 
 class TestChecks:

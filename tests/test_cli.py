@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from idemsync import (
+    chi_encode,
     gen_cerny,
     gen_flipflop,
     gen_gusev_like,
@@ -15,6 +16,7 @@ from idemsync import (
     higgins_transform,
     parse_automaton,
     render_automaton,
+    word_to_names,
 )
 from idemsync.cli import main
 from oracles import cerny_with_tail
@@ -284,6 +286,18 @@ class TestChi:
     def test_unknown_letter(self, tmp_path, capsys):
         path = write_saf(tmp_path, gen_cerny(3))
         assert main(["chi", "encode", path, "zz"]) == 2
+
+    def test_encode_builds_no_automaton_larger_than_the_base(
+        self, tmp_path, capsys, built_sizes
+    ):
+        base = gen_cerny(1000)
+        path = write_saf(tmp_path, base)
+        image = higgins_transform(base)
+        expected = " ".join(word_to_names(image.result, chi_encode(image, (0, 1, 1))))
+        built_sizes.clear()
+        assert main(["chi", "encode", path, "s1", "s2", "s2"]) == 0
+        assert max(built_sizes) <= base.n
+        assert capsys.readouterr().out == expected + "\n"
 
 
 class TestErrors:

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +41,7 @@ from oracles import (
     inflate,
     naive_strongly_connected,
     reference_image_of_set,
+    reference_is_idempotent_word,
     reference_transition_error,
 )
 from strategies import dfas, dfas_with_words, unconnected_sink_free_dfas
@@ -275,6 +277,12 @@ class TestLetterFacts:
         # a reset word whose target it fixes is idempotent
         assert is_idempotent_word(gen_flipflop(), (0,))
 
+    @settings(max_examples=200, deadline=None)
+    @given(dfas_with_words(max_n=8))
+    def test_idempotent_word_matches_reference(self, case):
+        dfa, word = case
+        assert is_idempotent_word(dfa, word) == reference_is_idempotent_word(dfa, word)
+
 
 class TestSinksAndConnectivity:
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
@@ -310,7 +318,7 @@ class TestTerminalComponent:
     def check_terminal(dfa):
         """The component is a set of distinct states that no letter
         leaves and that is strongly connected; returns its size."""
-        component = _terminal_component(dfa)
+        component = _terminal_component(dfa.delta)
         assert len(set(component)) == len(component)
         sub = subautomaton(dfa, StateSet.of(component, dfa.n))
         assert is_strongly_connected(sub)
@@ -327,11 +335,11 @@ class TestTerminalComponent:
         assert self.check_terminal(dfa) < dfa.n
 
     def test_known_components(self):
-        assert _terminal_component(gen_ladder(5)) == [4]
-        assert sorted(_terminal_component(gen_cerny(6))) == list(range(6))
+        assert _terminal_component(gen_ladder(5).delta) == [4]
+        assert sorted(_terminal_component(gen_cerny(6).delta)) == list(range(6))
         # state 0 reaches both cycles; the search enters {1, 2} first
         dfa = Dfa(5, ("a", "b"), ((1, 2, 1, 4, 3), (3, 1, 2, 4, 3)))
-        assert sorted(_terminal_component(dfa)) == [1, 2]
+        assert sorted(_terminal_component(dfa.delta)) == [1, 2]
 
 
 class TestSubautomaton:
@@ -468,6 +476,20 @@ class TestWordNames:
             word_from_names(gen_cerny(3), ["nope"])
         with pytest.raises(UsageError):
             word_to_names(gen_cerny(3), (4,))
+
+    def test_many_letters_are_looked_up_in_linear_time(self):
+        k = 40_000
+        dfa = Dfa(1, tuple(f"x{j}" for j in range(k)), ((0,),) * k)
+        names = [f"x{j}" for j in reversed(range(k))]
+        start = time.perf_counter()
+        word = word_from_names(dfa, names)
+        assert time.perf_counter() - start < 1
+        assert word == tuple(reversed(range(k)))
+        # the first unknown name is the one reported, as by letter_index
+        with pytest.raises(UsageError) as info:
+            word_from_names(dfa, names[:5] + ["nope", "zz"] + names[5:])
+        assert type(info.value) is UsageError
+        assert str(info.value) == "no letter named 'nope'"
 
 
 CERNY3 = gen_cerny(3)

@@ -34,6 +34,7 @@ from idemsync import (
 from oracles import (
     cerny_with_tail,
     reference_image_of_set,
+    reference_is_proper,
     reference_is_synchronizing,
     reference_synchronize_sink_2idem,
 )
@@ -134,6 +135,21 @@ class TestPairTest:
         # three letters, so properness reaches the pair test
         with pytest.raises(UsageError, match="16386 states without a sink"):
             is_proper(higgins_transform(gen_cerny(8_193)).result)
+
+
+class TestNoCopies:
+    def test_pair_test_and_properness_build_no_automaton(self, built_sizes):
+        # Černý 5 with a 4-state tail and a third letter that moves only
+        # the tail; its doubling has a transient tail of 8 states
+        tailed = cerny_with_tail(5, 4)
+        tail_only = tuple(range(5)) + (6, 7, 8, 0)
+        base = Dfa(9, tailed.letters + ("t",), tailed.delta + (tail_only,))
+        doubled = higgins_transform(base).result
+        built_sizes.clear()
+        synchronizing, proper = is_synchronizing(doubled), is_proper(doubled)
+        assert built_sizes == []
+        assert synchronizing == reference_is_synchronizing(doubled)
+        assert proper == reference_is_proper(doubled)
 
 
 class TestPeeling:
