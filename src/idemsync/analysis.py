@@ -138,9 +138,11 @@ def is_synchronizing(dfa: Dfa) -> bool:
     ``u`` and ``q`` in its preimage of ``v``.  Starting from the
     diagonal, the first pairs found are those that one letter merges.
     Each pair is expanded once, in ``O(k * m**2)`` steps; the side
-    tables are the ``O(k * m)`` inverse lists and one ``m**2``-byte
-    table of merged flags.  The closure stops as soon as every pair is
-    merged, and it needs no budget.
+    tables are the ``O(k * m)`` inverse lists, one ``m**2``-byte table
+    of merged flags, and a worklist of at most one four-byte pair index
+    per unordered pair, about ``m**2 / 2`` indices or twice the table.
+    The closure stops as soon as every pair is merged, and it needs no
+    budget.
 
     Here ``m`` is the size of a terminal component, a strongly
     connected component that no transition leaves: the automaton
@@ -152,7 +154,8 @@ def is_synchronizing(dfa: Dfa) -> bool:
     terminal component from one Tarjan pass.  Its inverse lists are read
     from the transition rows, with no copy of the automaton.  When its
     table would exceed ``2**28`` bytes (more than 16,384 states), the
-    automaton raises ``UsageError``.
+    automaton raises ``UsageError``; at the cap, the table and the
+    worklist together take about 768 MiB.
     """
     return _pair_test(dfa.delta)
 
@@ -175,17 +178,14 @@ def _pair_test(delta: tuple[tuple[int, ...], ...]) -> bool:
             f"over the cap of {_PAIR_TABLE_CAP} bytes"
         )
     component.sort()  # the closure's state p is the input's state component[p]
-    index = dict(zip(component, range(n)))
-    inverses = []
-    for row in delta:
-        inverse: list[list[int]] = [[] for _ in range(n)]
-        for p, t in enumerate(map(index.__getitem__, map(row.__getitem__, component))):
-            inverse[t].append(p)
-        inverses.append(inverse)
+    index = dict(zip(component, range(n))).__getitem__
+    inverses = [_predecessors([[index(row[q]) for q in component]]) for row in delta]
     # merged[p * n + q] is set, symmetrically, once (p, q) is merged
     merged = bytearray(n * n)
     merged[:: n + 1] = b"\x01" * n
-    stack = array("q", range(0, n * n, n + 1))
+    # every index is below n * n <= 2**28 < 2**32, and each unordered pair
+    # is pushed once, so the 4-byte slots take about twice the table at most
+    stack = array("I", range(0, n * n, n + 1))
     pop = stack.pop
     push = stack.append
     unmerged = n * (n - 1)  # ordered pairs of distinct states

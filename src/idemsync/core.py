@@ -68,7 +68,8 @@ class Dfa:
     n : int
         Number of states, at least 1.
     letters : tuple of str
-        Distinct non-empty letter names without whitespace.
+        Distinct non-empty letter names without whitespace or ``#``, the
+        characters SAF text cannot carry in a name.
     delta : tuple of tuple of int
         Letter-major transition table; ``delta[j][q]`` is the image of
         state ``q`` under letter ``j``.  Every entry is an ``int`` (not a
@@ -88,7 +89,7 @@ class Dfa:
             raise UsageError("at least one letter is required")
         seen: set[str] = set()
         for name in self.letters:
-            if not name or any(map(str.isspace, name)):
+            if not name or "#" in name or any(map(str.isspace, name)):
                 raise UsageError(f"bad letter name {name!r}")
             if name in seen:
                 raise UsageError(f"duplicate letter name {name!r}")
@@ -396,13 +397,14 @@ def make_congruence(dfa: Dfa, class_of: Sequence[int]) -> Congruence:
 def quotient(dfa: Dfa, pi: Congruence) -> Dfa:
     """Automaton induced on the classes of the congruence ``pi``.
 
-    Well-defined because compatibility was checked when ``pi`` was
-    built: any member of a class yields the same image class.
+    Well-defined because :func:`make_congruence` checks ``pi`` against
+    ``dfa`` first: any member of a class yields the same image class.
     """
     if len(pi.class_of) != dfa.n:
         raise UsageError(
             f"congruence covers {len(pi.class_of)} states, expected {dfa.n}"
         )
+    pi = make_congruence(dfa, pi.class_of)
     rep = [-1] * pi.num_classes
     for q in range(dfa.n - 1, -1, -1):
         rep[pi.class_of[q]] = q

@@ -123,6 +123,12 @@ class TestDfaValidation:
         with pytest.raises(UsageError):
             Dfa(1, ("a b",), ((0,),))
 
+    def test_rejects_a_hash_in_a_letter_name(self):
+        # SAF reads a '#' as the start of a comment, so no row carries it
+        with pytest.raises(UsageError) as err:
+            Dfa(2, ("a#", "b"), ((0, 0), (1, 1)))
+        assert str(err.value) == "bad letter name 'a#'"
+
     def test_rejects_empty_alphabet(self):
         with pytest.raises(UsageError):
             Dfa(1, (), ())
@@ -408,6 +414,14 @@ class TestCongruence:
         with pytest.raises(UsageError) as err:
             quotient(gen_cerny(4), pi)
         assert str(err.value) == "congruence covers 3 states, expected 4"
+
+    def test_quotient_rejects_a_congruence_that_does_not_fit(self):
+        # the same size, but the classes {0, 1} and {2, 3} are not
+        # compatible with the second automaton's letter
+        pi = make_congruence(Dfa(4, ("x",), ((1, 0, 3, 2),)), (0, 0, 1, 1))
+        with pytest.raises(CongruenceViolation) as err:
+            quotient(Dfa(4, ("x",), ((2, 0, 3, 1),)), pi)
+        assert (err.value.p, err.value.q, err.value.letter_name) == (0, 1, "x")
 
     def test_total_partition_quotient_is_one_state(self):
         c4 = gen_cerny(4)

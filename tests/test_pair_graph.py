@@ -6,8 +6,12 @@ replaced, kept in ``oracles.py``: the same decision, the same
 lowest-free-index word, the same errors.
 """
 
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +48,8 @@ from strategies import (
     idempotent_sink_dfas,
     unconnected_sink_free_dfas,
 )
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def peel_outcome(synchronize, dfa):
@@ -135,6 +141,42 @@ class TestPairTest:
         # three letters, so properness reaches the pair test
         with pytest.raises(UsageError, match="16386 states without a sink"):
             is_proper(higgins_transform(gen_cerny(8_193)).result)
+
+    def test_memory_stays_within_three_and_a_half_tables(self):
+        # a constant letter and a cyclic shift: merging the diagonal pair
+        # of the constant's image pushes every other pair at once, so the
+        # worklist peaks at about n**2 / 2 indices beside the n**2-byte table
+        pytest.importorskip("resource")
+        n = 3_000
+        # exec carries the test runner's peak RSS into ru_maxrss; a
+        # forked child starts from the fresh interpreter's own peak
+        script = (
+            "import os, resource\n"
+            "from idemsync import Dfa, is_synchronizing\n"
+            f"n = {n}\n"
+            "dfa = Dfa(n, ('c', 's'), ((0,) * n, tuple(range(1, n)) + (0,)))\n"
+            "if os.fork() == 0:\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "    synchronizing = is_synchronizing(dfa)\n"
+            "    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "    print(synchronizing, after - before, flush=True)\n"
+            "    os._exit(0)\n"
+            "os.wait()\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        synchronizing, growth = proc.stdout.split()
+        unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss in bytes or KiB
+        assert synchronizing == "True"
+        assert int(growth) * unit <= 3.5 * n * n
 
 
 class TestNoCopies:

@@ -51,6 +51,29 @@ def test_parse_inverts_render_on_seeded_random_automata():
         assert parse_automaton(render_automaton(dfa)) == dfa
 
 
+@st.composite
+def named_automata(draw):
+    """The arguments of a ``Dfa`` whose letter names are drawn from an
+    alphabet with ``#``, whitespace and letters."""
+    n = draw(st.integers(1, 4))
+    names = draw(
+        st.lists(st.text(alphabet="ab# \t", max_size=3), min_size=1, max_size=3, unique=True)
+    )
+    rows = [draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)) for _ in names]
+    return n, tuple(names), tuple(map(tuple, rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(named_automata())
+def test_every_accepted_name_survives_the_round_trip(args):
+    try:
+        dfa = Dfa(*args)
+    except UsageError as err:
+        assert str(err).startswith("bad letter name ")
+        return
+    assert parse_automaton(render_automaton(dfa)) == dfa
+
+
 def test_render_canonicalizes_comments_and_spacing():
     text = (
         "# a flip-flop\n"
