@@ -150,12 +150,15 @@ def is_synchronizing(dfa: Dfa) -> bool:
     that one synchronizes (Volkov, LATA 2008).  Finding it, and checking
     that every state reaches it, takes ``O(k * n)`` steps, before the
     table is allocated.  Two distinct sinks never merge, and a single
-    sink is a one-state component; a sink-free input gets its first
-    terminal component from one Tarjan pass.  Its inverse lists are read
-    from the transition rows, with no copy of the automaton.  When its
-    table would exceed ``2**28`` bytes (more than 16,384 states), the
-    automaton raises ``UsageError``; at the cap, the table and the
-    worklist together take about 768 MiB.
+    sink is a one-state component; a sink-free input gets a terminal
+    component from a forest of backward searches, whose last root's
+    forward search is that component.  One set of predecessor lists
+    serves the forest and the reachability check, both ``O(k * n)``.
+    The component's inverse lists are read from the transition rows,
+    with no copy of the automaton.  When its table would exceed
+    ``2**28`` bytes (more than 16,384 states), the automaton raises
+    ``UsageError``; at the cap, the table and the worklist together take
+    about 768 MiB.
     """
     return _pair_test(dfa.delta)
 
@@ -165,10 +168,11 @@ def _pair_test(delta: tuple[tuple[int, ...], ...]) -> bool:
     sinks = _sink_list(delta)
     if len(sinks) > 1:
         return False
-    component = sinks or _terminal_component(delta)
+    predecessors = _predecessors(delta)
+    component = sinks or _terminal_component(delta, predecessors)
     n = len(component)
     # a state that cannot reach the component reaches a second terminal one
-    if n < len(delta[0]) and not _reaches_all(_predecessors(delta), component[0]):
+    if n < len(delta[0]) and not _reaches_all(predecessors, component[0]):
         return False
     if n == 1:
         return True

@@ -66,7 +66,7 @@ class Dfa:
     Attributes
     ----------
     n : int
-        Number of states, at least 1.
+        Number of states, an ``int`` (not a ``bool``), at least 1.
     letters : tuple of str
         Distinct non-empty letter names without whitespace or ``#``, the
         characters SAF text cannot carry in a name.
@@ -83,6 +83,10 @@ class Dfa:
     def __post_init__(self) -> None:
         object.__setattr__(self, "letters", tuple(self.letters))
         object.__setattr__(self, "delta", tuple(map(tuple, self.delta)))
+        if type(self.n) is not int:
+            raise UsageError(
+                f"state count {self.n!r} has type {type(self.n).__name__}, expected int"
+            )
         if self.n < 1:
             raise UsageError(f"state count must be positive, got {self.n}")
         if not self.letters:
@@ -298,49 +302,40 @@ def _predecessors(delta: Sequence[Sequence[int]]) -> list[list[int]]:
 def _reaches_all(adjacency: Sequence[Sequence[int]], start: int = 0) -> bool:
     """True when ``start`` reaches every state, ``adjacency[q]`` listing
     the successors of ``q``."""
-    seen = [False] * len(adjacency)
+    return len(_reached(adjacency, start, [False] * len(adjacency))) == len(adjacency)
+
+
+def _reached(adjacency: Sequence[Sequence[int]], start: int, seen: list[bool]) -> list[int]:
+    """Flag and list, in discovery order, the unflagged states ``start`` reaches."""
     seen[start] = True
-    stack = [start]
-    count = 1
-    while stack:
-        for t in adjacency[stack.pop()]:
+    found = [start]
+    for q in found:  # the list grows as it is walked
+        for t in adjacency[q]:
             if not seen[t]:
                 seen[t] = True
-                count += 1
-                stack.append(t)
-    return count == len(adjacency)
+                found.append(t)
+    return found
 
 
-def _terminal_component(delta: Sequence[Sequence[int]]) -> list[int]:
-    """The states of a strongly connected component that no transition
-    of ``delta`` leaves, in discovery order: the first component an
-    iterative Tarjan search from state 0 completes.  All ``n`` states
-    exactly when the transitions are strongly connected."""
-    successors = list(zip(*delta))
-    # nothing is completed before the first component, so the search
-    # stack of Tarjan's algorithm is the discovery order itself
-    order = [0]
-    index = [-1] * len(successors)
-    index[0] = 0
-    low = [0] * len(successors)
-    path = [(0, iter(successors[0]))]
-    while True:
-        q, targets = path[-1]
-        for t in targets:
-            if index[t] < 0:
-                index[t] = low[t] = len(order)
-                order.append(t)
-                path.append((t, iter(successors[t])))
-                break
-            if low[t] < low[q]:
-                low[q] = low[t]
-        else:
-            if low[q] == index[q]:
-                return order[index[q] :]
-            path.pop()
-            parent = path[-1][0]
-            if low[q] < low[parent]:
-                low[parent] = low[q]
+def _terminal_component(
+    delta: Sequence[Sequence[int]], predecessors: Sequence[Sequence[int]]
+) -> list[int]:
+    """The states, in discovery order, of a strongly connected component
+    that no transition of ``delta`` leaves: all ``n`` exactly when the
+    transitions are strongly connected.  ``predecessors`` is
+    ``_predecessors(delta)``.
+
+    Backward searches start from each state not yet seen, highest first,
+    and the component is what the last root ``c`` reaches forward.  No
+    earlier search found a state that ``c`` reaches, or it would have
+    found ``c``; so ``c``'s own search found it, and it reaches ``c``.
+    """
+    seen = [False] * len(predecessors)
+    for root in range(len(predecessors) - 1, -1, -1):
+        if not seen[root]:
+            _reached(predecessors, root, seen)
+            last = root
+    return _reached(list(zip(*delta)), last, [False] * len(predecessors))
 
 
 def subautomaton(dfa: Dfa, s: StateSet) -> Dfa:
@@ -368,15 +363,19 @@ def make_congruence(dfa: Dfa, class_of: Sequence[int]) -> Congruence:
     """Validate a partition of the states as a congruence.
 
     ``class_of`` must be total on the states and use contiguous class
-    indices ``0 .. c-1``.  Compatibility means that states sharing a
-    class have images sharing a class, for every letter; the first
-    violating triple is reported in a :class:`CongruenceViolation`.
+    indices ``0 .. c-1``, each an ``int`` (not a ``bool``).
+    Compatibility means that states sharing a class have images sharing
+    a class, for every letter; the first violating triple is reported in
+    a :class:`CongruenceViolation`.
     """
     class_of = tuple(class_of)
     if len(class_of) != dfa.n:
         raise UsageError(
             f"partition covers {len(class_of)} states, expected {dfa.n}"
         )
+    for c in class_of:
+        if type(c) is not int:
+            raise UsageError(f"class index {c!r} has type {type(c).__name__}, expected int")
     num_classes = max(class_of) + 1
     if set(class_of) != set(range(num_classes)):
         raise UsageError("class indices must be contiguous starting at 0")

@@ -233,9 +233,15 @@ def _threshold(
 
     def check(n: int) -> tuple[str, str, bool]:
         res = reset_threshold(family(n), budget)
-        return f"ret={want(n)}", f"ret={res.threshold}", res.threshold == want(n)
+        return f"ret={want(n)}", _ret(res), res.threshold == want(n)
 
     return check
+
+
+def _ret(res: SyncResult) -> str:
+    """The measured threshold, marked ``truncated=1`` when the budget cut
+    the search, as ``prop5`` counts its truncated samples."""
+    return f"ret={res.threshold}" + " truncated=1" * res.truncated
 
 
 def _claim_cerny(budget: SearchBudget) -> list[ClaimRecord]:
@@ -281,7 +287,7 @@ def _claim_cor3(budget: SearchBudget) -> list[ClaimRecord]:
         report = check_corollary3(m, budget)
         expected = f"ret={report.expected_threshold} rank={m // 2} idempotent proper"
         measured = (
-            f"ret={report.sync.threshold} ranks={sorted(set(report.letter_ranks))} "
+            f"{_ret(report.sync)} ranks={sorted(set(report.letter_ranks))} "
             f"idempotent={all(report.letter_idempotent)} proper={report.proper}"
         )
         return expected, measured, report.ok
@@ -324,7 +330,7 @@ def _claim_gusev7(budget: SearchBudget) -> list[ClaimRecord]:
         table_ok = dfa.delta == GUSEV7_ROWS
         return (
             "ret=16 table=frozen",
-            f"ret={res.threshold} table={'ok' if table_ok else 'mismatch'}",
+            f"{_ret(res)} table={'ok' if table_ok else 'mismatch'}",
             res.threshold == 16 and table_ok,
         )
 

@@ -101,10 +101,15 @@ def unconnected_sink_free_dfas(
         for row in rows:
             row[q] = draw(st.sampled_from([*range(core), *range(q + 1, n)]))
     perm = draw(st.permutations(range(n)))
+    return relabelled(Dfa(n, tuple(f"x{j + 1}" for j in range(k)), rows), perm)
+
+
+def relabelled(dfa: Dfa, perm) -> Dfa:
+    """The automaton with each state ``q`` renamed ``perm[q]``."""
     delta = []
-    for row in rows:
-        new = [0] * n
+    for row in dfa.delta:
+        new = [0] * dfa.n
         for q, t in enumerate(row):
             new[perm[q]] = perm[t]
-        delta.append(tuple(new))
-    return Dfa(n, tuple(f"x{j + 1}" for j in range(k)), tuple(delta))
+        delta.append(new)
+    return Dfa(dfa.n, dfa.letters, delta)

@@ -35,7 +35,7 @@ from idemsync import (
     word_from_names,
     word_to_names,
 )
-from idemsync.core import _terminal_component
+from idemsync.core import _predecessors, _terminal_component
 from oracles import (
     closure,
     inflate,
@@ -44,7 +44,7 @@ from oracles import (
     reference_is_idempotent_word,
     reference_transition_error,
 )
-from strategies import dfas, dfas_with_words, unconnected_sink_free_dfas
+from strategies import dfas, dfas_with_words, relabelled, unconnected_sink_free_dfas
 
 IDENTITY3 = Dfa(3, ("i",), ((0, 1, 2),))
 
@@ -144,6 +144,16 @@ class TestDfaValidation:
     def test_rejects_nonpositive_state_count(self):
         with pytest.raises(UsageError):
             Dfa(0, ("a",), ())
+
+    @pytest.mark.parametrize(
+        "n, kind", [(True, "bool"), (2.0, "float"), (_Index(2), "_Index")]
+    )
+    def test_rejects_a_state_count_that_is_not_an_int(self, n, kind):
+        # SAF could not read back a 'True' header, and a float count
+        # broke render_automaton with a TypeError
+        with pytest.raises(UsageError) as info:
+            Dfa(n, ("a",), ((0, 0),))
+        assert str(info.value) == f"state count {n!r} has type {kind}, expected int"
 
     def test_letter_index(self):
         dfa = gen_cerny(3)
@@ -324,7 +334,7 @@ class TestTerminalComponent:
     def check_terminal(dfa):
         """The component is a set of distinct states that no letter
         leaves and that is strongly connected; returns its size."""
-        component = _terminal_component(dfa.delta)
+        component = _terminal_component(dfa.delta, _predecessors(dfa.delta))
         assert len(set(component)) == len(component)
         sub = subautomaton(dfa, StateSet.of(component, dfa.n))
         assert is_strongly_connected(sub)
@@ -340,12 +350,25 @@ class TestTerminalComponent:
     def test_leaves_out_a_tail_or_a_second_component(self, dfa):
         assert self.check_terminal(dfa) < dfa.n
 
+    @settings(max_examples=200, deadline=None)
+    @given(dfas(max_n=12, max_k=3) | unconnected_sink_free_dfas(), st.data())
+    def test_any_numbering_of_the_states_gives_one(self, dfa, data):
+        # the forest takes its roots in index order, so renaming the
+        # states changes which terminal component it returns
+        renamed = relabelled(dfa, data.draw(st.permutations(range(dfa.n))))
+        self.check_terminal(renamed)
+        assert is_synchronizing(renamed) == is_synchronizing(dfa)
+
     def test_known_components(self):
-        assert _terminal_component(gen_ladder(5).delta) == [4]
-        assert sorted(_terminal_component(gen_cerny(6).delta)) == list(range(6))
-        # state 0 reaches both cycles; the search enters {1, 2} first
+        assert _terminal_component(
+            gen_ladder(5).delta, _predecessors(gen_ladder(5).delta)
+        ) == [4]
+        assert sorted(
+            _terminal_component(gen_cerny(6).delta, _predecessors(gen_cerny(6).delta))
+        ) == list(range(6))
+        # state 0 reaches both cycles; the last search root is state 2
         dfa = Dfa(5, ("a", "b"), ((1, 2, 1, 4, 3), (3, 1, 2, 4, 3)))
-        assert sorted(_terminal_component(dfa.delta)) == [1, 2]
+        assert sorted(_terminal_component(dfa.delta, _predecessors(dfa.delta))) == [1, 2]
 
 
 class TestSubautomaton:
@@ -453,6 +476,17 @@ class TestCongruence:
     def test_rejects_wrong_length(self):
         with pytest.raises(UsageError):
             make_congruence(gen_cerny(3), [0, 0])
+
+    @pytest.mark.parametrize(
+        "class_of, kind",
+        [((0.0, 1.0), "float"), (("a", "b"), "str"), ((True, False), "bool")],
+    )
+    def test_rejects_class_indices_that_are_not_ints(self, class_of, kind):
+        with pytest.raises(UsageError) as info:
+            make_congruence(Dfa(2, ("a",), ((0, 1),)), class_of)
+        assert str(info.value) == (
+            f"class index {class_of[0]!r} has type {kind}, expected int"
+        )
 
     def test_block_map_of_inflation_is_a_congruence(self):
         for seed in range(20):

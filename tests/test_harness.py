@@ -123,6 +123,17 @@ def test_smallest_doubled_instance_is_the_known_red_record():
     assert "proper=False" in failing[0].measured
 
 
+def test_truncated_threshold_records_say_so():
+    # a search the budget cut short is not a non-synchronizing answer
+    records = run_harness(["ladder"], SearchBudget(max_subsets=3)).records
+    assert [r.measured for r in records[:4]] == [
+        "ret=0", "ret=1", "ret=None truncated=1", "ret=None truncated=1"
+    ]
+    assert all(r.measured.endswith("truncated=1") for r in records[2:])
+    (cor3,) = run_harness(["cor3"], SearchBudget(max_subsets=3)).records[:1]
+    assert cor3.measured.startswith("ret=None truncated=1 ranks=[2]")
+
+
 def test_prop5_default_budget_record():
     (record,) = run_harness(["prop5"]).records
     assert record.passed
