@@ -62,10 +62,16 @@ class SearchBudget:
     max_depth: int | None = None
 
     def __post_init__(self) -> None:
-        if self.max_subsets is not None and self.max_subsets < 1:
-            raise UsageError(f"max_subsets must be positive, got {self.max_subsets}")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise UsageError(f"max_depth must be positive, got {self.max_depth}")
+        for name in ("max_subsets", "max_depth"):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if type(value) is not int:
+                raise UsageError(
+                    f"{name} {value!r} has type {type(value).__name__}, expected int or None"
+                )
+            if value < 1:
+                raise UsageError(f"{name} must be positive, got {value}")
 
 
 DEFAULT_BUDGET = SearchBudget()

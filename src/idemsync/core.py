@@ -221,8 +221,11 @@ def apply_word(dfa: Dfa, q: int, word: Sequence[int]) -> int:
 
 
 def _check_letters(k: int, word: Sequence[int]) -> None:
-    """Raise ``UsageError`` at the first letter index outside ``[0, k)``."""
+    """Raise ``UsageError`` at the first letter index that is not an
+    ``int`` or lies outside ``[0, k)``."""
     for j in word:
+        if type(j) is not int:
+            raise UsageError(f"letter index {j!r} has type {type(j).__name__}, expected int")
         if not 0 <= j < k:
             raise UsageError(f"letter index {j} leaves [0, {k})")
 

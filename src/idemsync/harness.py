@@ -76,6 +76,8 @@ class Theorem2Report:
 
     ``threshold_doubled`` and ``encoded_witness_resets`` are ``None``
     when the base does not synchronize (there is nothing to double).
+    ``sync_agrees`` compares the two pair-test verdicts, which a
+    truncated search also carries; a truncated search still fails ``ok``.
     """
 
     base: SyncResult
@@ -89,11 +91,13 @@ class Theorem2Report:
 def check_theorem2(dfa: Dfa, budget: SearchBudget = DEFAULT_BUDGET) -> Theorem2Report:
     """Check that doubling preserves synchronizability, exactly doubles
     the reset threshold, and that the encoded base witness resets the
-    doubled automaton at exactly twice the length."""
+    doubled automaton at exactly twice the length.  ``sync_agrees``
+    compares the pair-test verdicts, which a truncated search also
+    carries."""
     image = higgins_transform(dfa)
     base = reset_threshold(dfa, budget)
     transformed = reset_threshold(image.result, budget)
-    sync_agrees = base.synchronizing == transformed.synchronizing
+    sync_agrees = _synchronizes(base) == _synchronizes(transformed)
     threshold_doubled: bool | None = None
     encoded_resets: bool | None = None
     if base.synchronizing and transformed.synchronizing:
@@ -204,26 +208,24 @@ class HarnessReport:
         ]
 
 
-def _record(
-    claim: str, params: str, fn: Callable[[], tuple[str, str, bool]], informative: bool = False
-) -> ClaimRecord:
-    start = time.perf_counter()
-    expected, measured, passed = fn()
-    millis = (time.perf_counter() - start) * 1000.0
-    return ClaimRecord(claim, params, expected, measured, passed, millis, informative)
-
-
-def _sized(
+def _records(
     claim: str,
-    sizes: Iterable[int],
+    key: str,
+    values: Iterable[int],
     check: Callable[[int], tuple[str, str, bool]],
     informative: bool = False,
 ) -> list[ClaimRecord]:
-    """One record per size ``n``, with ``check(n)`` giving the expected
-    and measured text and whether the size passed."""
-    return [
-        _record(claim, f"n={n}", lambda n=n: check(n), informative) for n in sizes
-    ]
+    """One timed record per value ``v``, with params ``key=v`` and
+    ``check(v)`` giving the expected and measured text and whether ``v``
+    passed."""
+    records = []
+    for v in values:
+        start = time.perf_counter()
+        expected, measured, passed = check(v)
+        millis = (time.perf_counter() - start) * 1000.0
+        params = f"{key}={v}"
+        records.append(ClaimRecord(claim, params, expected, measured, passed, millis, informative))
+    return records
 
 
 def _threshold(
@@ -233,26 +235,34 @@ def _threshold(
 
     def check(n: int) -> tuple[str, str, bool]:
         res = reset_threshold(family(n), budget)
-        return f"ret={want(n)}", _ret(res), res.threshold == want(n)
+        return f"ret={want(n)}", _ret("ret", res), res.threshold == want(n)
 
     return check
 
 
-def _ret(res: SyncResult) -> str:
-    """The measured threshold, marked ``truncated=1`` when the budget cut
-    the search, as ``prop5`` counts its truncated samples."""
-    return f"ret={res.threshold}" + " truncated=1" * res.truncated
+def _ret(key: str, res: SyncResult, *others: SyncResult) -> str:
+    """``key=<threshold of res>``, marked ``truncated=1`` when the budget
+    cut that search or one of ``others``, as ``prop5`` counts its
+    truncated samples."""
+    return f"{key}={res.threshold}" + " truncated=1" * any(r.truncated for r in (res, *others))
+
+
+def _synchronizes(res: SyncResult) -> bool:
+    """The search runs only after the pair test passed, so a truncated
+    result synchronizes too, with an unknown threshold."""
+    return res.synchronizing or res.truncated
 
 
 def _claim_cerny(budget: SearchBudget) -> list[ClaimRecord]:
-    return _sized("cerny", range(2, 11), _threshold(gen_cerny, lambda n: (n - 1) ** 2, budget))
+    check = _threshold(gen_cerny, lambda n: (n - 1) ** 2, budget)
+    return _records("cerny", "n", range(2, 11), check)
 
 
 def _claim_lemma1(budget: SearchBudget) -> list[ClaimRecord]:
-    def check():
+    def check(samples: int) -> tuple[str, str, bool]:
         rng = random.Random(LEMMA1_SEED)
         violations = 0
-        for _ in range(LEMMA1_SAMPLES):
+        for _ in range(samples):
             n = rng.randint(1, 10)
             k = rng.randint(1, 3)
             dfa = gen_random_dfa(n, k, rng.randrange(2**32))
@@ -264,7 +274,7 @@ def _claim_lemma1(budget: SearchBudget) -> list[ClaimRecord]:
             violations == 0,
         )
 
-    return [_record("lemma1", f"samples={LEMMA1_SAMPLES}", check)]
+    return _records("lemma1", "samples", (LEMMA1_SAMPLES,), check)
 
 
 def _claim_thm2(budget: SearchBudget) -> list[ClaimRecord]:
@@ -272,14 +282,14 @@ def _claim_thm2(budget: SearchBudget) -> list[ClaimRecord]:
         want = 2 * (n - 1) ** 2
         report = check_theorem2(gen_cerny(n), budget)
         measured = (
-            f"ret_doubled={report.transformed.threshold} "
+            f"{_ret('ret_doubled', report.transformed, report.base)} "
             f"agree={report.sync_agrees} "
             f"encoded_resets={report.encoded_witness_resets}"
         )
         good = report.ok and report.transformed.threshold == want
         return f"ret_doubled={want} agree=True encoded_resets=True", measured, good
 
-    return _sized("thm2", range(2, 10), check)
+    return _records("thm2", "n", range(2, 10), check)
 
 
 def _claim_cor3(budget: SearchBudget) -> list[ClaimRecord]:
@@ -287,24 +297,22 @@ def _claim_cor3(budget: SearchBudget) -> list[ClaimRecord]:
         report = check_corollary3(m, budget)
         expected = f"ret={report.expected_threshold} rank={m // 2} idempotent proper"
         measured = (
-            f"{_ret(report.sync)} ranks={sorted(set(report.letter_ranks))} "
+            f"{_ret('ret', report.sync)} ranks={sorted(set(report.letter_ranks))} "
             f"idempotent={all(report.letter_idempotent)} proper={report.proper}"
         )
         return expected, measured, report.ok
 
-    return _sized("cor3", range(4, 17, 2), check)
+    return _records("cor3", "n", range(4, 17, 2), check)
 
 
 def _claim_prop5(budget: SearchBudget) -> list[ClaimRecord]:
-    def check():
+    def check(samples: int) -> tuple[str, str, bool]:
         rng = random.Random(PROP5_SEED)
         synchronizing = violations = truncated = 0
-        for _ in range(PROP5_SAMPLES):
+        for _ in range(samples):
             n = rng.randint(2, 12)
             res = reset_threshold(gen_random_idempotent(n, 2, rng.randrange(2**32)), budget)
-            # the search runs only after the pair test passed, so a
-            # truncated sample synchronizes, with an unknown threshold
-            synchronizing += res.synchronizing or res.truncated
+            synchronizing += _synchronizes(res)
             truncated += res.truncated
             violations += res.synchronizing and res.threshold > n - 1
         measured = f"synchronizing={synchronizing} violations={violations}"
@@ -316,30 +324,23 @@ def _claim_prop5(budget: SearchBudget) -> list[ClaimRecord]:
             violations == 0 and not truncated,
         )
 
-    return [_record("prop5", f"samples={PROP5_SAMPLES}", check)]
+    return _records("prop5", "samples", (PROP5_SAMPLES,), check)
 
 
 def _claim_ladder(budget: SearchBudget) -> list[ClaimRecord]:
-    return _sized("ladder", range(1, 16), _threshold(gen_ladder, lambda n: n - 1, budget))
+    return _records("ladder", "n", range(1, 16), _threshold(gen_ladder, lambda n: n - 1, budget))
 
 
 def _claim_gusev7(budget: SearchBudget) -> list[ClaimRecord]:
-    def check_exact():
-        dfa = gen_gusev_like(7)
-        res = reset_threshold(dfa, budget)
-        table_ok = dfa.delta == GUSEV7_ROWS
-        return (
-            "ret=16 table=frozen",
-            f"{_ret(res)} table={'ok' if table_ok else 'mismatch'}",
-            res.threshold == 16 and table_ok,
-        )
+    check = _threshold(gen_gusev_like, lambda n: (n * n - 3 * n + 4) // 2, budget)
 
-    def want(n: int) -> int:
-        return (n * n - 3 * n + 4) // 2
+    def frozen(n: int) -> tuple[str, str, bool]:
+        expected, measured, passed = check(n)
+        table = "ok" if gen_gusev_like(n).delta == GUSEV7_ROWS else "mismatch"
+        return f"{expected} table=frozen", f"{measured} table={table}", passed and table == "ok"
 
-    exact = _record("gusev7", "n=7", check_exact)
-    check = _threshold(gen_gusev_like, want, budget)
-    return [exact] + _sized("gusev7", (3, 5, 9, 11, 13), check, informative=True)
+    exact = _records("gusev7", "n", (7,), frozen)
+    return exact + _records("gusev7", "n", (3, 5, 9, 11, 13), check, informative=True)
 
 
 CLAIMS: dict[str, Callable[[SearchBudget], list[ClaimRecord]]] = {

@@ -130,6 +130,23 @@ class TestResetThreshold:
         with pytest.raises(UsageError):
             SearchBudget(max_depth=-1)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("max_subsets", True, "max_subsets True has type bool, expected int or None"),
+            ("max_subsets", 2.5, "max_subsets 2.5 has type float, expected int or None"),
+            ("max_depth", "3", "max_depth '3' has type str, expected int or None"),
+            ("max_depth", 4.0, "max_depth 4.0 has type float, expected int or None"),
+            ("max_subsets", 0, "max_subsets must be positive, got 0"),
+            ("max_depth", -1, "max_depth must be positive, got -1"),
+        ],
+    )
+    def test_budget_field_messages(self, field, value, message):
+        with pytest.raises(UsageError) as info:
+            SearchBudget(**{field: value})
+        assert type(info.value) is UsageError
+        assert str(info.value) == message
+
     def test_capacity_guard(self):
         big = Dfa(64, ("i",), (tuple(range(64)),))
         with pytest.raises(UsageError, match="capacity"):

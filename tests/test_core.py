@@ -568,3 +568,26 @@ def test_out_of_range_letter_message(name, k, call, bad):
         call(j)
     assert type(info.value) is UsageError
     assert str(info.value) == f"letter index {j} leaves [0, {k})"
+
+
+@pytest.mark.parametrize("j", [True, 1.0, "1"], ids=["bool", "float", "str"])
+@pytest.mark.parametrize(
+    "name, k, call", LETTER_TAKERS, ids=[name for name, _, _ in LETTER_TAKERS]
+)
+def test_letter_index_that_is_not_an_int_is_refused(name, k, call, j):
+    with pytest.raises(UsageError) as info:
+        call(j)
+    assert type(info.value) is UsageError
+    assert str(info.value) == f"letter index {j!r} has type {type(j).__name__}, expected int"
+
+
+def test_letter_checks_report_the_first_bad_entry():
+    with pytest.raises(UsageError) as info:
+        verify_reset_word(CERNY3, (True, False, True))
+    assert str(info.value) == "letter index True has type bool, expected int"
+    with pytest.raises(UsageError) as info:
+        word_to_names(CERNY3, (0, 5, 1.0))
+    assert str(info.value) == "letter index 5 leaves [0, 2)"
+    with pytest.raises(UsageError) as info:
+        apply_word(CERNY3, 0, (0, 1.0, 5))
+    assert str(info.value) == "letter index 1.0 has type float, expected int"

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from idemsync import SearchBudget, UsageError
+from idemsync import SearchBudget, UsageError, gen_cerny
 from idemsync.cli import main
 from idemsync.harness import (
     CLAIMS,
@@ -10,6 +10,7 @@ from idemsync.harness import (
     ClaimRecord,
     HarnessReport,
     Lemma1Report,
+    check_theorem2,
     run_harness,
 )
 
@@ -132,6 +133,37 @@ def test_truncated_threshold_records_say_so():
     assert all(r.measured.endswith("truncated=1") for r in records[2:])
     (cor3,) = run_harness(["cor3"], SearchBudget(max_subsets=3)).records[:1]
     assert cor3.measured.startswith("ret=None truncated=1 ranks=[2]")
+
+
+@pytest.mark.parametrize("claim", sorted(CLAIMS))
+def test_every_truncated_threshold_says_so(claim):
+    # an unknown threshold reads the same as a non-synchronizing answer
+    # unless the record marks the truncation
+    for r in run_harness([claim], SearchBudget(max_subsets=3)).records:
+        if "ret=None" in r.measured or "ret_doubled=None" in r.measured:
+            assert "truncated=" in r.measured, (r.params, r.measured)
+
+
+def test_thm2_truncated_doubled_search_keeps_agreement():
+    records = run_harness(["thm2"], SearchBudget(max_subsets=3)).records
+    assert records[0].params == "n=2"
+    assert records[0].measured == "ret_doubled=None truncated=1 agree=True encoded_resets=None"
+    assert not any(r.passed for r in records)
+
+
+def test_thm2_verify_under_a_truncating_budget_exits_one(capsys):
+    assert main(["verify", "thm2", "--budget", "3"]) == 1
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_theorem2_agreement_reads_the_pair_test_under_truncation(n):
+    # at n=2 only the doubled search is cut, at n=6 both are
+    report = check_theorem2(gen_cerny(n), SearchBudget(max_subsets=3))
+    assert report.transformed.truncated
+    assert report.sync_agrees is True
+    assert report.threshold_doubled is None and report.encoded_witness_resets is None
+    assert report.ok is False
 
 
 def test_prop5_default_budget_record():
