@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import groupby, repeat, tee
+from itertools import chain, groupby, islice, repeat, tee
 from typing import Iterator, Sequence
 
 from .core import Dfa
+
+# states per block of lines: each block is joined into one string, so no
+# line outlives the block it belongs to
+_BLOCK = 4096
 
 
 def _quote(label: str) -> str:
@@ -60,6 +64,13 @@ class _EdgeTemplates(dict):
         return template
 
 
+def _node_lines(states: range) -> str:
+    """The node lines of ``states`` in one ``%`` format: only state
+    numbers, which are digits and need no escaping, are formatted."""
+    template = "\n".join(['  %d [label="%d"];'] * len(states))
+    return template % tuple(chain.from_iterable(zip(states, states)))
+
+
 def export_dot(dfa: Dfa) -> str:
     """Render the transition graph as DOT text.
 
@@ -67,15 +78,19 @@ def export_dot(dfa: Dfa) -> str:
     a single edge whose label joins the letter names with commas in
     letter order.  Node and edge order is fixed by state index, so the
     output is bit-identical across runs.
+
+    Peak memory is at most two copies of the text and the lines of one
+    block: the lines of each 4,096 states are joined as they are made,
+    and the blocks once at the end.
     """
-    n = dfa.n
-    # state numbers are digits, which need no escaping; the node lines
-    # are joined before the edges exist, so they are never alive together
-    nodes = "\n".join([f'  {q} [label="{q}"];' for q in map(str, range(n))])
+    states = range(dfa.n)
+    blocks = [states[lo : lo + _BLOCK] for lo in range(0, dfa.n, _BLOCK)]
+    nodes = list(map(_node_lines, blocks))
     templates = map(_EdgeTemplates(dfa.letters).__getitem__, _shapes(dfa.delta))
-    edges = map(str.format, templates, range(n), *dfa.delta)
+    edges = map(str.format, templates, states, *dfa.delta)
+    edge_blocks = ["\n".join(islice(edges, len(block))) for block in blocks]
     # the closing line carries the final newline: one join, and no
     # second full copy of the text at the point of peak memory
     return "\n".join(
-        ["digraph automaton {", "  rankdir=LR;", "  node [shape=circle];", nodes, *edges, "}\n"]
+        ["digraph automaton {", "  rankdir=LR;", "  node [shape=circle];", *nodes, *edge_blocks, "}\n"]
     )

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Sequence
 
 from .core import Dfa, UsageError, Word, _check_letters
@@ -175,12 +176,14 @@ def gen_random_idempotent(n: int, k: int, seed: int) -> Dfa:
     """
 
     def draw_row(rng: random.Random) -> tuple[int, ...]:
-        choice = rng.choice
         # flags[q] is "1" when bit q of the image set is set; reading
         # all n bits at once keeps the letter linear in n
         flags = format(rng.randrange(1, 1 << n), f"0{n}b")[::-1]
         image = [q for q, flag in enumerate(flags) if flag == "1"]
-        return tuple(q if flag == "1" else choice(image) for q, flag in enumerate(flags))
+        # state q takes the next fixed point, which is q itself, or the next
+        # draw; the draws are made lazily, in state order
+        sources = {"1": iter(image), "0": map(rng.choice, repeat(image))}
+        return tuple(map(next, map(sources.__getitem__, flags)))
 
     return _seeded(n, k, seed, draw_row)
 

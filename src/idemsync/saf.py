@@ -115,12 +115,16 @@ def _state_indices(lineno: int, name: str, text: str, n: int) -> tuple[int, ...]
 
 
 def render_automaton(dfa: Dfa) -> str:
-    """Canonical SAF text for an automaton; stable across runs."""
-    # each state number is formatted once, however many entries name it
-    numerals = list(map(str, range(dfa.n)))
+    """Canonical SAF text for an automaton; stable across runs.
+
+    Peak memory is at most two copies of the text: each row is one ``%``
+    format of its tuple, and no string per state is ever held.
+    """
     lines = ["SAF 1", f"{dfa.n} {dfa.k}"]
     for name, row in zip(dfa.letters, dfa.delta):
-        lines.append(name + " " + " ".join(map(numerals.__getitem__, row)))
+        # entries are exact ints (a Dfa guarantee), which %d writes as str
+        # does; the name is joined on, never formatted
+        lines.append(name + " %d" * dfa.n % row)
     # an empty last line gives the final newline: one join, and no
     # second full copy of the text at the point of peak memory
     lines.append("")

@@ -1,5 +1,7 @@
 """Fixtures shared by the test modules."""
 
+import tracemalloc
+
 import pytest
 
 from idemsync import Dfa
@@ -18,3 +20,25 @@ def built_sizes(monkeypatch):
 
     monkeypatch.setattr(Dfa, "__post_init__", recording)
     return sizes
+
+
+@pytest.fixture
+def peak_bytes():
+    """``peak_bytes(fn)``: the most memory, in bytes, that one call
+    ``fn()`` held at once beyond what was held before it, its result
+    included, as ``tracemalloc`` counts it; for tests that pin a layer's
+    memory."""
+
+    def measure(fn) -> int:
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fn()
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+
+    return measure

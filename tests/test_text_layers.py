@@ -2,8 +2,10 @@
 
 ``gen_random_idempotent``, ``gen_random_dfa``, ``export_dot`` and
 ``render_automaton`` must give byte for byte what the implementations
-they replaced give, kept in ``oracles.py``; ``StateSet`` must agree with
-a plain ``set`` on membership, order and errors.
+they replaced give, kept in ``oracles.py``, and ``export_dot`` and
+``render_automaton`` must hold at most two copies of their output;
+``StateSet`` must agree with a plain ``set`` on membership, order and
+errors.
 """
 
 import random
@@ -19,6 +21,7 @@ from idemsync import (
     export_dot,
     gen_random_dfa,
     gen_random_idempotent,
+    higgins_transform,
     render_automaton,
 )
 from oracles import (
@@ -53,12 +56,12 @@ class TestRandomDfa:
 
 
 @st.composite
-def escaped_letter_dfas(draw) -> Dfa:
-    """Small automata whose letter names contain quotes, backslashes and
-    the braces of ``str.format`` fields."""
+def escaped_letter_dfas(draw, alphabet: str = '"\\a,{}0') -> Dfa:
+    """Small automata whose letter names are drawn from ``alphabet``: by
+    default quotes, backslashes and the braces of ``str.format`` fields."""
     letters = draw(
         st.lists(
-            st.text(alphabet='"\\a,{}0', min_size=1, max_size=4),
+            st.text(alphabet=alphabet, min_size=1, max_size=4),
             min_size=1,
             max_size=8,
             unique=True,
@@ -89,12 +92,49 @@ class TestTextRendering:
     def test_saf_matches_the_reference(self, dfa):
         assert render_automaton(dfa) == reference_render_automaton(dfa)
 
+    # the node lines and the SAF rows are ``%`` formats, which must never
+    # reach label text
+    @settings(max_examples=50, deadline=None)
+    @given(escaped_letter_dfas('"\\a,{}0%'))
+    def test_percent_signs_in_names_are_never_formatted(self, dfa):
+        assert export_dot(dfa) == reference_export_dot(dfa)
+        assert render_automaton(dfa) == reference_render_automaton(dfa)
+
+    # the DOT lines are joined in blocks of 4,096 states
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 8193])
+    def test_block_boundaries(self, n, k):
+        dfa = gen_random_dfa(n, k, n + k)
+        assert export_dot(dfa) == reference_export_dot(dfa)
+        assert render_automaton(dfa) == reference_render_automaton(dfa)
+
+    def test_doubled_random_idempotent(self):
+        dfa = higgins_transform(gen_random_idempotent(20000, 2, 3)).result
+        assert export_dot(dfa) == reference_export_dot(dfa)
+        assert render_automaton(dfa) == reference_render_automaton(dfa)
+
     def test_large_random_automaton(self):
         # past about seven letters nearly every state has a shape of its own
         for n, k in ((3000, 3), (3000, 5), (3000, 7), (300, 25), (40, 60)):
             dfa = gen_random_dfa(n, k, 4)
             assert export_dot(dfa) == reference_export_dot(dfa)
             assert render_automaton(dfa) == reference_render_automaton(dfa)
+
+
+class TestTextMemory:
+    """Each text layer holds at most two copies of its output: the pieces
+    and their join, with no string per state or line beside them."""
+
+    def test_saf_of_the_doubled_automaton(self, peak_bytes):
+        # the benchmark's transform output: 200,000 states, three letters
+        dfa = higgins_transform(gen_random_idempotent(100000, 2, 7)).result
+        text = render_automaton(dfa)
+        assert peak_bytes(lambda: render_automaton(dfa)) <= 2 * len(text) + (1 << 20)
+
+    def test_dot_of_the_random_idempotent_input(self, peak_bytes):
+        dfa = gen_random_idempotent(100000, 2, 7)
+        text = export_dot(dfa)
+        assert peak_bytes(lambda: export_dot(dfa)) <= 2 * len(text) + (1 << 20)
 
 
 def _plain_bits(states) -> int:
