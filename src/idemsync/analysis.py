@@ -38,6 +38,7 @@ from .core import (
     StateSet,
     UsageError,
     Word,
+    _check_int,
     _predecessors,
     _reaches_all,
     _sink_list,
@@ -64,13 +65,8 @@ class SearchBudget:
     def __post_init__(self) -> None:
         for name in ("max_subsets", "max_depth"):
             value = getattr(self, name)
-            if value is None:
-                continue
-            if type(value) is not int:
-                raise UsageError(
-                    f"{name} {value!r} has type {type(value).__name__}, expected int or None"
-                )
-            if value < 1:
+            _check_int(name, value, optional=True)
+            if value is not None and value < 1:
                 raise UsageError(f"{name} must be positive, got {value}")
 
 
@@ -100,10 +96,9 @@ class SyncResult:
     full state set to a singleton, and it is the lexicographically least
     word (by letter index) among all shortest reset words.
 
-    When ``truncated`` is true the budget ran out before resolution and
-    the result makes no synchronization claim: ``synchronizing`` is
-    false and threshold and witness are absent.  Use
-    :func:`is_synchronizing` for a budget-independent decision.
+    When ``truncated`` is true the budget ran out before resolution:
+    ``synchronizing`` is false, threshold and witness are absent, and
+    :attr:`synchronizes` is true.
     """
 
     synchronizing: bool
@@ -112,15 +107,21 @@ class SyncResult:
     states_explored: int
     truncated: bool
 
+    @property
+    def synchronizes(self) -> bool:
+        """Whether the automaton synchronizes: the search runs only after the
+        pair test passed, so a truncated result synchronizes too."""
+        return self.synchronizing or self.truncated
+
 
 @dataclass(frozen=True)
 class AnalysisReport:
     """Structural and synchronization facts about one automaton.
 
     ``sync`` is the exact search's result, or ``None`` when the automaton
-    has more states than the search capacity.  ``synchronizing`` is the
-    search's verdict when it ran (false on truncation), and otherwise the
-    pair test's.
+    has more states than the search capacity.  ``synchronizing`` is
+    ``sync.synchronizes`` when the search ran (true on truncation), and
+    otherwise the pair test's verdict.
     """
 
     n: int
@@ -249,6 +250,7 @@ def reset_threshold(
     16,384 states (its pair-table cap).
     """
     n = dfa.n
+    _check_int("capacity", capacity)
     if n > capacity:
         raise UsageError(
             f"{n} states exceed the subset-search capacity {capacity}; "
@@ -366,6 +368,7 @@ def analyze_automaton(
 ) -> AnalysisReport:
     """Collect the standard structural and synchronization facts; past
     ``capacity`` states the search is skipped and the pair test decides."""
+    _check_int("capacity", capacity)
     ranks, idempotent = _letter_shapes(dfa)
     sync = reset_threshold(dfa, budget, capacity) if dfa.n <= capacity else None
     return AnalysisReport(
@@ -376,7 +379,7 @@ def analyze_automaton(
         sinks=tuple(_sink_list(dfa.delta)),
         strongly_connected=is_strongly_connected(dfa),
         sync=sync,
-        synchronizing=is_synchronizing(dfa) if sync is None else sync.synchronizing,
+        synchronizing=is_synchronizing(dfa) if sync is None else sync.synchronizes,
     )
 
 

@@ -83,10 +83,7 @@ class Dfa:
     def __post_init__(self) -> None:
         object.__setattr__(self, "letters", tuple(self.letters))
         object.__setattr__(self, "delta", tuple(map(tuple, self.delta)))
-        if type(self.n) is not int:
-            raise UsageError(
-                f"state count {self.n!r} has type {type(self.n).__name__}, expected int"
-            )
+        _check_int("state count", self.n)
         if self.n < 1:
             raise UsageError(f"state count must be positive, got {self.n}")
         if not self.letters:
@@ -113,17 +110,8 @@ class Dfa:
             # the ordered scan runs only to name the first bad entry
             for t in row:
                 if type(t) is not int or not 0 <= t < n:
-                    break
-            else:
-                continue
-            for q, t in enumerate(row):
-                if type(t) is not int:
-                    raise UsageError(
-                        f"transition {name!r}: {q} -> {t!r} has type "
-                        f"{type(t).__name__}, expected int"
-                    )
-                if not 0 <= t < n:
-                    raise UsageError(f"transition {name!r}: {q} -> {t} leaves [0, {n})")
+                    for q, entry in enumerate(row):
+                        _check_int(f"transition {name!r}: {q} ->", entry, n)
 
     @property
     def k(self) -> int:
@@ -152,6 +140,8 @@ class StateSet:
     n: int
 
     def __post_init__(self) -> None:
+        _check_int("bits", self.bits)
+        _check_int("capacity", self.n)
         if self.n < 0:
             raise UsageError(f"capacity must be nonnegative, got {self.n}")
         if self.bits < 0 or self.bits >> self.n:
@@ -163,15 +153,17 @@ class StateSet:
 
     @classmethod
     def full(cls, n: int) -> "StateSet":
-        return cls((1 << n) - 1, n)
+        _check_int("capacity", n)
+        return cls((1 << max(n, 0)) - 1, n)
 
     @classmethod
     def of(cls, states: Iterable[int], n: int) -> "StateSet":
+        _check_int("capacity", n)
         # set bits in little-endian bytes, in O(1) each, and convert once
         packed = bytearray((max(n, 0) + 7) // 8)
         for q in states:
-            if not 0 <= q < n:
-                raise UsageError(f"state {q} leaves [0, {n})")
+            if type(q) is not int or not 0 <= q < n:
+                _check_int("state", q, n)
             packed[q >> 3] |= 1 << (q & 7)
         return cls(int.from_bytes(packed, "little"), n)
 
@@ -212,8 +204,7 @@ def apply_letter(dfa: Dfa, q: int, j: int) -> int:
 
 def apply_word(dfa: Dfa, q: int, word: Sequence[int]) -> int:
     """Image of state ``q`` under ``word``; the empty word fixes ``q``."""
-    if not 0 <= q < dfa.n:
-        raise UsageError(f"state {q} leaves [0, {dfa.n})")
+    _check_int("state", q, dfa.n)
     _check_letters(dfa.k, word)
     for j in word:
         q = dfa.delta[j][q]
@@ -224,10 +215,19 @@ def _check_letters(k: int, word: Sequence[int]) -> None:
     """Raise ``UsageError`` at the first letter index that is not an
     ``int`` or lies outside ``[0, k)``."""
     for j in word:
-        if type(j) is not int:
-            raise UsageError(f"letter index {j!r} has type {type(j).__name__}, expected int")
-        if not 0 <= j < k:
-            raise UsageError(f"letter index {j} leaves [0, {k})")
+        if type(j) is not int or not 0 <= j < k:
+            _check_int("letter index", j, k)
+
+
+def _check_int(what: str, value: object, hi: int | None = None, *, optional: bool = False) -> None:
+    """Raise ``UsageError`` unless ``value`` is exactly an ``int``, not a ``bool``
+    or other subclass (or is ``None`` when ``optional``), in ``[0, hi)`` if ``hi`` is given."""
+    if type(value) is not int and not (optional and value is None):
+        raise UsageError(
+            f"{what} {value!r} has type {type(value).__name__}, expected int" + " or None" * optional
+        )
+    if hi is not None and not 0 <= value < hi:
+        raise UsageError(f"{what} {value} leaves [0, {hi})")
 
 
 def image_of_set(dfa: Dfa, s: StateSet, word: Sequence[int]) -> StateSet:
@@ -377,10 +377,10 @@ def make_congruence(dfa: Dfa, class_of: Sequence[int]) -> Congruence:
             f"partition covers {len(class_of)} states, expected {dfa.n}"
         )
     for c in class_of:
-        if type(c) is not int:
-            raise UsageError(f"class index {c!r} has type {type(c).__name__}, expected int")
+        _check_int("class index", c)
     num_classes = max(class_of) + 1
-    if set(class_of) != set(range(num_classes)):
+    # contiguous from 0, checked without building range(num_classes)
+    if min(class_of) != 0 or len(set(class_of)) != num_classes:
         raise UsageError("class indices must be contiguous starting at 0")
     for j, row in enumerate(dfa.delta):
         rep: dict[int, tuple[int, int]] = {}

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, Sequence
 
-from .core import Dfa, UsageError, Word, _check_letters
+from .core import Dfa, UsageError, Word, _check_int, _check_letters
 
 
 @dataclass(frozen=True)
@@ -119,6 +119,7 @@ def gen_cerny(n: int) -> Dfa:
     state 0; letter ``s2`` is the cyclic shift.  No synchronizing
     automaton with a larger threshold for its state count is known.
     """
+    _check_int("state count", n)
     if n < 2:
         raise UsageError(f"need at least 2 states, got {n}")
     s1 = tuple(0 if i == n - 1 else i for i in range(n))
@@ -134,7 +135,7 @@ def gen_ladder(n: int) -> Dfa:
     sink.  The reset threshold is exactly ``n - 1``, which is as large
     as any synchronizing automaton with two idempotent letters can reach.
     """
-    _check_states(n)
+    _check_count("state", n)
     a = tuple(i + 1 if i % 2 == 1 and i < n - 1 else i for i in range(n))
     b = tuple(i + 1 if i % 2 == 0 and i < n - 1 else i for i in range(n))
     return Dfa(n, ("a", "b"), (a, b))
@@ -149,6 +150,7 @@ def gen_gusev_like(n: int) -> Dfa:
     the construction is a hypothesis: the harness reports the measured
     threshold against that formula without asserting it.
     """
+    _check_int("state count", n)
     if n < 3 or n % 2 == 0:
         raise UsageError(f"need an odd state count of at least 3, got {n}")
     ladder = gen_ladder(n)
@@ -193,16 +195,17 @@ def gen_random_dfa(n: int, k: int, seed: int) -> Dfa:
     return _seeded(n, k, seed, lambda rng: tuple(rng.randrange(n) for _ in range(n)))
 
 
-def _check_states(n: int) -> None:
+def _check_count(unit: str, n: int) -> None:
+    _check_int(f"{unit} count", n)
     if n < 1:
-        raise UsageError(f"need at least 1 state, got {n}")
+        raise UsageError(f"need at least 1 {unit}, got {n}")
 
 
 def _seeded(n: int, k: int, seed: int, draw_row: Callable[[random.Random], tuple]) -> Dfa:
     """Letters ``x1 .. xk`` on ``n`` states, one row each from ``Random(seed)``."""
-    _check_states(n)
-    if k < 1:
-        raise UsageError(f"need at least 1 letter, got {k}")
+    _check_count("state", n)
+    _check_count("letter", k)
+    _check_int("seed", seed)
     rng = random.Random(seed)
     rows = tuple(draw_row(rng) for _ in range(k))
     return Dfa(n, tuple(f"x{j + 1}" for j in range(k)), rows)

@@ -30,7 +30,7 @@ from .analysis import (
     reset_threshold,
     verify_reset_word,
 )
-from .core import Dfa, UsageError
+from .core import Dfa, UsageError, _check_int
 from .generators import (
     chi_encode,
     gen_cerny,
@@ -76,8 +76,8 @@ class Theorem2Report:
 
     ``threshold_doubled`` and ``encoded_witness_resets`` are ``None``
     when the base does not synchronize (there is nothing to double).
-    ``sync_agrees`` compares the two pair-test verdicts, which a
-    truncated search also carries; a truncated search still fails ``ok``.
+    ``sync_agrees`` compares the two results' ``synchronizes``, which a
+    truncated search also answers; a truncated search still fails ``ok``.
     """
 
     base: SyncResult
@@ -91,13 +91,11 @@ class Theorem2Report:
 def check_theorem2(dfa: Dfa, budget: SearchBudget = DEFAULT_BUDGET) -> Theorem2Report:
     """Check that doubling preserves synchronizability, exactly doubles
     the reset threshold, and that the encoded base witness resets the
-    doubled automaton at exactly twice the length.  ``sync_agrees``
-    compares the pair-test verdicts, which a truncated search also
-    carries."""
+    doubled automaton at exactly twice the length."""
     image = higgins_transform(dfa)
     base = reset_threshold(dfa, budget)
     transformed = reset_threshold(image.result, budget)
-    sync_agrees = _synchronizes(base) == _synchronizes(transformed)
+    sync_agrees = base.synchronizes == transformed.synchronizes
     threshold_doubled: bool | None = None
     encoded_resets: bool | None = None
     if base.synchronizing and transformed.synchronizing:
@@ -138,6 +136,7 @@ def check_corollary3(n: int, budget: SearchBudget = DEFAULT_BUDGET) -> Corollary
     4) from the binary family on ``n/2`` states and check its advertised
     shape: 3 letters, all idempotent of rank ``n/2``, proper, threshold
     ``n**2/2 - 2n + 2``."""
+    _check_int("state count", n)
     if n < 4 or n % 2 != 0:
         raise UsageError(f"need an even state count of at least 4, got {n}")
     doubled = higgins_transform(gen_cerny(n // 2)).result
@@ -247,12 +246,6 @@ def _ret(key: str, res: SyncResult, *others: SyncResult) -> str:
     return f"{key}={res.threshold}" + " truncated=1" * any(r.truncated for r in (res, *others))
 
 
-def _synchronizes(res: SyncResult) -> bool:
-    """The search runs only after the pair test passed, so a truncated
-    result synchronizes too, with an unknown threshold."""
-    return res.synchronizing or res.truncated
-
-
 def _claim_cerny(budget: SearchBudget) -> list[ClaimRecord]:
     check = _threshold(gen_cerny, lambda n: (n - 1) ** 2, budget)
     return _records("cerny", "n", range(2, 11), check)
@@ -312,7 +305,7 @@ def _claim_prop5(budget: SearchBudget) -> list[ClaimRecord]:
         for _ in range(samples):
             n = rng.randint(2, 12)
             res = reset_threshold(gen_random_idempotent(n, 2, rng.randrange(2**32)), budget)
-            synchronizing += _synchronizes(res)
+            synchronizing += res.synchronizes
             truncated += res.truncated
             violations += res.synchronizing and res.threshold > n - 1
         measured = f"synchronizing={synchronizing} violations={violations}"

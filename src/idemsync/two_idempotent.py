@@ -63,8 +63,14 @@ class TwoIdemClassification:
     reason: str | None = None
 
 
-def _not_applicable(reason: str) -> TwoIdemClassification:
-    return TwoIdemClassification(TwoIdemKind.NOT_APPLICABLE, reason=reason)
+def _two_idempotent_fault(dfa: Dfa) -> str | None:
+    """Why ``dfa`` lacks exactly two letters, both idempotent, or ``None``."""
+    if dfa.k != 2:
+        return f"expected exactly 2 letters, got {dfa.k}"
+    for j in range(2):
+        if not is_idempotent_letter(dfa, j):
+            return f"letter {dfa.letters[j]!r} is not idempotent"
+    return None
 
 
 def classify_strongly_connected_2idem(dfa: Dfa) -> TwoIdemClassification:
@@ -78,15 +84,13 @@ def classify_strongly_connected_2idem(dfa: Dfa) -> TwoIdemClassification:
     both idempotent, strong connectivity, at least two states) get a
     ``NOT_APPLICABLE`` verdict with the reason.
     """
-    if dfa.k != 2:
-        return _not_applicable(f"expected exactly 2 letters, got {dfa.k}")
-    for j in range(2):
-        if not is_idempotent_letter(dfa, j):
-            return _not_applicable(f"letter {dfa.letters[j]!r} is not idempotent")
-    if dfa.n < 2:
-        return _not_applicable("expected at least 2 states")
-    if not is_strongly_connected(dfa):
-        return _not_applicable("not strongly connected")
+    reason = _two_idempotent_fault(dfa)
+    if reason is None and dfa.n < 2:
+        reason = "expected at least 2 states"
+    if reason is None and not is_strongly_connected(dfa):
+        reason = "not strongly connected"
+    if reason is not None:
+        return TwoIdemClassification(TwoIdemKind.NOT_APPLICABLE, reason=reason)
 
     start = 0
     mover = next(
@@ -161,11 +165,8 @@ def synchronize_sink_2idem(dfa: Dfa) -> Word:
     :class:`ContradictionError` when no predecessor-free state exists,
     which means the automaton was not synchronizing to begin with.
     """
-    if dfa.k != 2:
-        raise UsageError(f"expected exactly 2 letters, got {dfa.k}")
-    for j in range(2):
-        if not is_idempotent_letter(dfa, j):
-            raise UsageError(f"letter {dfa.letters[j]!r} is not idempotent")
+    if fault := _two_idempotent_fault(dfa):
+        raise UsageError(fault)
     sinks = _sink_list(dfa.delta)
     if len(sinks) != 1:
         raise UsageError(f"expected a unique sink, found {len(sinks)}")

@@ -1,5 +1,6 @@
 import ast
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -457,10 +458,13 @@ class TestAnalyzeAutomaton:
         assert report.sync is None and report.synchronizing
         assert analyze_automaton(gen_ladder(8), capacity=8).sync.threshold == 7
 
-    def test_truncated_search_reports_no_synchronization(self):
+    def test_truncated_search_still_synchronizes(self):
+        # the search ran only after the pair test passed
         report = analyze_automaton(gen_cerny(4), SearchBudget(max_subsets=2))
         assert report.sync.truncated
-        assert report.synchronizing is False
+        assert report.sync.synchronizing is False
+        assert report.sync.synchronizes is True
+        assert report.synchronizing is True
 
     def test_one_pair_test_within_capacity(self, monkeypatch):
         import idemsync.analysis as analysis
@@ -531,3 +535,29 @@ def test_no_module_reads_the_environment():
         if _reads_environment(node)
     ]
     assert reads == []
+
+
+def _owner(tree: ast.Module, node: ast.AST) -> str:
+    """The innermost function around ``node``, or ``<module>``."""
+    owners = [
+        f.name
+        for f in ast.walk(tree)  # breadth first, so the innermost comes last
+        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and f.lineno <= node.lineno <= f.end_lineno
+    ]
+    return owners[-1] if owners else "<module>"
+
+
+def test_the_integer_type_rule_is_written_once():
+    # every integer parameter goes through core._check_int for its type rule
+    writers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        writers += [
+            f"{path.name}:{_owner(tree, node)}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and re.search(r"expected int\b", node.value)
+        ]
+    assert writers == ["core.py:_check_int"]

@@ -90,7 +90,8 @@ class TestAnalyze:
         assert main(["analyze", path, "--budget", "2"]) == 0
         out = capsys.readouterr().out
         assert "truncated: true" in out
-        assert "synchronizing: false" in out
+        # the search ran only after the pair test passed
+        assert "synchronizing: true" in out
 
     def test_environment_does_not_set_the_budget(self, tmp_path, capsys, monkeypatch):
         # the budget is --budget or its default, never a hidden input

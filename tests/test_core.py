@@ -1,3 +1,4 @@
+import inspect
 import random
 import time
 
@@ -5,22 +6,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import idemsync
 from idemsync import (
     ClosureViolation,
     Congruence,
     CongruenceViolation,
     Dfa,
+    SearchBudget,
     StateSet,
     UsageError,
+    analyze_automaton,
     apply_letter,
     apply_word,
+    check_corollary3,
     chi_decode,
     chi_encode,
     find_sinks,
     gen_cerny,
     gen_flipflop,
+    gen_gusev_like,
     gen_ladder,
     gen_random_dfa,
+    gen_random_idempotent,
     higgins_transform,
     image_of_set,
     is_idempotent_letter,
@@ -30,6 +37,7 @@ from idemsync import (
     letter_rank,
     make_congruence,
     quotient,
+    reset_threshold,
     subautomaton,
     verify_reset_word,
     word_from_names,
@@ -558,19 +566,21 @@ LETTER_TAKERS = [
 ]
 
 
-@pytest.mark.parametrize("bad", ["below", "above"])
+@pytest.mark.parametrize("bad", ["below", "above", "huge"])
 @pytest.mark.parametrize(
     "name, k, call", LETTER_TAKERS, ids=[name for name, _, _ in LETTER_TAKERS]
 )
 def test_out_of_range_letter_message(name, k, call, bad):
-    j = -1 if bad == "below" else k
+    j = {"below": -1, "above": k, "huge": 2**70}[bad]
     with pytest.raises(UsageError) as info:
         call(j)
     assert type(info.value) is UsageError
     assert str(info.value) == f"letter index {j} leaves [0, {k})"
 
 
-@pytest.mark.parametrize("j", [True, 1.0, "1"], ids=["bool", "float", "str"])
+@pytest.mark.parametrize(
+    "j", [True, 1.0, "1", None, _Index(1)], ids=["bool", "float", "str", "none", "subclass"]
+)
 @pytest.mark.parametrize(
     "name, k, call", LETTER_TAKERS, ids=[name for name, _, _ in LETTER_TAKERS]
 )
@@ -591,3 +601,111 @@ def test_letter_checks_report_the_first_bad_entry():
     with pytest.raises(UsageError) as info:
         apply_word(CERNY3, 0, (0, 1.0, 5))
     assert str(info.value) == "letter index 1.0 has type float, expected int"
+
+
+# (callable.parameter, the start of its type message, call with one value,
+# whether its cost is flat in the value and so it also takes 2**70)
+INT_TAKERS = [
+    ("Dfa.n", "state count", lambda v: Dfa(v, ("a",), ((0, 0),)), False),
+    ("Dfa.delta", "transition 'a': 1 ->", lambda v: Dfa(2, ("a",), ((0, v),)), True),
+    ("StateSet.bits", "bits", lambda v: StateSet(v, 4), True),
+    ("StateSet.n", "capacity", lambda v: StateSet(0, v), True),
+    ("StateSet.empty.n", "capacity", StateSet.empty, True),
+    ("StateSet.full.n", "capacity", StateSet.full, False),
+    ("StateSet.of.n", "capacity", lambda v: StateSet.of([], v), False),
+    ("StateSet.of.states", "state", lambda v: StateSet.of([v], 4), True),
+    ("SearchBudget.max_subsets", "max_subsets", lambda v: SearchBudget(max_subsets=v), True),
+    ("SearchBudget.max_depth", "max_depth", lambda v: SearchBudget(max_depth=v), True),
+    ("apply_letter.q", "state", lambda v: apply_letter(CERNY3, v, 0), True),
+    ("apply_letter.j", "letter index", lambda v: apply_letter(CERNY3, 0, v), True),
+    ("apply_word.q", "state", lambda v: apply_word(CERNY3, v, (0,)), True),
+    ("letter_rank.j", "letter index", lambda v: letter_rank(CERNY3, v), True),
+    ("is_idempotent_letter.j", "letter index", lambda v: is_idempotent_letter(CERNY3, v), True),
+    ("make_congruence.class_of", "class index", lambda v: make_congruence(CERNY3, (v,) * 3), True),
+    ("reset_threshold.capacity", "capacity", lambda v: reset_threshold(CERNY3, capacity=v), True),
+    ("analyze_automaton.capacity", "capacity", lambda v: analyze_automaton(CERNY3, capacity=v), True),
+    ("check_corollary3.n", "state count", check_corollary3, False),
+    ("gen_cerny.n", "state count", gen_cerny, False),
+    ("gen_ladder.n", "state count", gen_ladder, False),
+    ("gen_gusev_like.n", "state count", gen_gusev_like, False),
+    ("gen_random_dfa.n", "state count", lambda v: gen_random_dfa(v, 2, 1), False),
+    ("gen_random_dfa.k", "letter count", lambda v: gen_random_dfa(3, v, 1), False),
+    ("gen_random_dfa.seed", "seed", lambda v: gen_random_dfa(3, 2, v), True),
+    ("gen_random_idempotent.n", "state count", lambda v: gen_random_idempotent(v, 2, 1), False),
+    ("gen_random_idempotent.k", "letter count", lambda v: gen_random_idempotent(3, v, 1), False),
+    ("gen_random_idempotent.seed", "seed", lambda v: gen_random_idempotent(3, 2, v), True),
+]
+INT_TAKER_IDS = [entry for entry, _, _, _ in INT_TAKERS]
+OPTIONAL_INTS = {"SearchBudget.max_subsets", "SearchBudget.max_depth"}
+
+# records and exceptions the library builds, whose integer fields are
+# answers rather than arguments; quotient re-derives a Congruence
+RESULT_TYPES = {
+    "AnalysisReport", "ClosureViolation", "Congruence", "CongruenceViolation",
+    "Corollary3Report", "HigginsImage", "Lemma1Report", "NotInImage",
+    "ParseError", "SyncResult", "TwoIdemClassification",
+}
+
+
+def _integer_parameters():
+    """``callable.parameter`` for each parameter annotated ``int`` or
+    ``int | None`` of the public callables and their public methods."""
+    for name in idemsync.__all__:
+        obj = getattr(idemsync, name)
+        callables = [(name, obj)]
+        if isinstance(obj, type):
+            callables += [
+                (f"{name}.{attr}", getattr(obj, attr))
+                for attr in vars(obj)
+                if not attr.startswith("_") and callable(getattr(obj, attr))
+            ]
+        for qualified, target in callables:
+            try:
+                parameters = inspect.signature(target).parameters.values()
+            except (TypeError, ValueError):  # builtin exceptions, type aliases
+                continue
+            for p in parameters:
+                if p.annotation in ("int", "int | None"):
+                    yield qualified, f"{qualified}.{p.name}"
+
+
+def test_every_integer_parameter_is_in_the_hostile_table():
+    missing = [
+        entry
+        for qualified, entry in _integer_parameters()
+        if entry not in INT_TAKER_IDS and qualified not in RESULT_TYPES
+    ]
+    assert missing == []
+
+
+@pytest.mark.parametrize(
+    "value", [True, 2.0, "2", _Index(2), None], ids=["bool", "float", "str", "subclass", "none"]
+)
+@pytest.mark.parametrize("entry, what, call, flat", INT_TAKERS, ids=INT_TAKER_IDS)
+def test_integer_parameter_refuses_a_value_that_is_not_an_int(entry, what, call, flat, value):
+    optional = entry in OPTIONAL_INTS
+    if value is None and optional:
+        call(value)  # None is the documented "unlimited"
+        return
+    with pytest.raises(UsageError) as info:
+        call(value)
+    assert type(info.value) is UsageError
+    suffix = " or None" if optional else ""
+    assert str(info.value) == f"{what} {value!r} has type {type(value).__name__}, expected int{suffix}"
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        pytest.param(call, value, id=f"{entry}-{label}")
+        for entry, _, call, flat in INT_TAKERS
+        for label, value in [("negative", -1)] + [("huge", 2**70)] * flat
+    ],
+)
+def test_integer_parameter_out_of_range_answers_or_refuses(call, value):
+    # the documented answer, or UsageError; never a bare TypeError,
+    # AttributeError or IndexError
+    try:
+        call(value)
+    except UsageError:
+        pass

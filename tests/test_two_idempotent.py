@@ -200,3 +200,18 @@ class TestSynchronizeSink:
         assert not is_synchronizing(EQ5_WITH_SINK)
         with pytest.raises(ContradictionError):
             synchronize_sink_2idem(EQ5_WITH_SINK)
+
+
+@pytest.mark.parametrize(
+    "dfa, reason",
+    [
+        (Dfa(2, ("a",), ((0, 0),)), "expected exactly 2 letters, got 1"),
+        (Dfa(2, ("a", "b", "c"), ((0, 1),) * 3), "expected exactly 2 letters, got 3"),
+        (gen_cerny(3), "letter 's2' is not idempotent"),
+    ],
+)
+def test_classifier_and_synchronizer_name_one_precondition_fault(dfa, reason):
+    assert classify_strongly_connected_2idem(dfa).reason == reason
+    with pytest.raises(UsageError) as info:
+        synchronize_sink_2idem(dfa)
+    assert str(info.value) == reason
