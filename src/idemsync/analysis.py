@@ -32,6 +32,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import repeat
 from operator import lshift, or_
+from typing import Iterable
 
 from .core import (
     Dfa,
@@ -336,7 +337,7 @@ def _spell_back(levels: list[array], position: int, k: int) -> Word:
     return tuple(word)
 
 
-def verify_reset_word(dfa: Dfa, word: Word) -> bool:
+def verify_reset_word(dfa: Dfa, word: Iterable[int]) -> bool:
     """True when ``word`` maps the full state set to a single state.
 
     Raises ``UsageError`` on a letter index outside the alphabet, even

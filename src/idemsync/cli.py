@@ -11,9 +11,10 @@ so generators pipe into the other commands.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from .analysis import (
     DEFAULT_BUDGET,
@@ -41,6 +42,8 @@ from .two_idempotent import ContradictionError, synchronize_sink_2idem
 
 
 def _read_dfa(path: str) -> Dfa:
+    if not isinstance(path, str):  # argparse passes [] for `chi encode -- --`
+        raise UsageError("missing file argument")
     try:
         if path == "-":
             text = sys.stdin.read()
@@ -53,6 +56,8 @@ def _read_dfa(path: str) -> Dfa:
         raise UsageError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path} is not UTF-8: bad byte at offset {exc.start}") from None
+    except ValueError as exc:  # a null byte in the path, which only an in-process call can pass
+        raise UsageError(f"cannot read {path!r}: {exc}") from None
     return parse_automaton(text)
 
 
@@ -139,8 +144,24 @@ def _cmd_chi(args: argparse.Namespace) -> int:
     return 0
 
 
+def _one_line(message: str) -> str:
+    """``message`` as one line of standard error, line breaks spelled ``\\n``."""
+    return "\\n".join(message.splitlines()) + "\n"
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one line, as ``main`` reports every other
+    error; ``-h`` prints the usage."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, _one_line(f"{self.prog}: error: {message}"))
+
+
+# built once per process: each parse makes a fresh namespace, and main
+# keeps no state between calls
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="idemsync",
         description="Construct, transform, and exactly analyze synchronizing automata.",
     )
@@ -231,7 +252,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.stdout.flush()  # a closed reader fails here, not at exit
         return code
     except (ContradictionError, UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        sys.stderr.write(_one_line(f"error: {exc}"))
         return 2
     except BrokenPipeError:
         # what is still buffered goes to devnull, so the flush at exit passes

@@ -1,9 +1,10 @@
 """Complete deterministic automata and their structural operations.
 
 States are the integers ``0 .. n-1`` and letters are indexed ``0 .. k-1``;
-a word is a tuple of letter indices applied left to right.  The transition
-table is stored letter-major, so ``delta[j]`` is the full selfmap induced
-by letter ``j`` and a word application walks one contiguous row per step.
+a word is a finite iterable of letter indices, read once and applied left
+to right.  The transition table is stored letter-major, so ``delta[j]`` is
+the full selfmap induced by letter ``j`` and a word application walks one
+contiguous row per step.
 
 Automata here carry no initial or accepting states: the objects of
 interest are the selfmaps that letters and words induce on the state set.
@@ -113,6 +114,23 @@ class Dfa:
                     for q, entry in enumerate(row):
                         _check_int(f"transition {name!r}: {q} ->", entry, n)
 
+    @classmethod
+    def _from_checked(
+        cls, n: int, letters: tuple[str, ...], delta: tuple[tuple[int, ...], ...]
+    ) -> "Dfa":
+        """An automaton from fields its caller has already checked against
+        every invariant above, as tuples, with no second scan of the entries.
+
+        Only the SAF parser, the doubling transform and the seeded
+        generators call it, where their own checks or construction cover
+        every rule; ``Dfa(...)`` checks everything.
+        """
+        dfa = object.__new__(cls)
+        object.__setattr__(dfa, "n", n)
+        object.__setattr__(dfa, "letters", letters)
+        object.__setattr__(dfa, "delta", delta)
+        return dfa
+
     @property
     def k(self) -> int:
         """Alphabet size."""
@@ -202,21 +220,36 @@ def apply_letter(dfa: Dfa, q: int, j: int) -> int:
     return apply_word(dfa, q, (j,))
 
 
-def apply_word(dfa: Dfa, q: int, word: Sequence[int]) -> int:
+def apply_word(dfa: Dfa, q: int, word: Iterable[int]) -> int:
     """Image of state ``q`` under ``word``; the empty word fixes ``q``."""
     _check_int("state", q, dfa.n)
-    _check_letters(dfa.k, word)
-    for j in word:
+    for j in _check_letters(dfa.k, word):
         q = dfa.delta[j][q]
     return q
 
 
-def _check_letters(k: int, word: Sequence[int]) -> None:
-    """Raise ``UsageError`` at the first letter index that is not an
-    ``int`` or lies outside ``[0, k)``."""
+def _check_letters(k: int, word: Iterable[int]) -> Word:
+    """``word`` read once, as a tuple; raise ``UsageError`` if it is not
+    iterable or at the first letter index that is not an ``int`` or lies
+    outside ``[0, k)``."""
+    word = _read_once("word", word, "letter indices")
     for j in word:
         if type(j) is not int or not 0 <= j < k:
             _check_int("letter index", j, k)
+    return word
+
+
+def _read_once(what: str, items: object, kind: str) -> tuple:
+    """The items of ``items`` in one tuple, read once, so a one-shot
+    iterator is never walked twice; ``UsageError`` names a value that is
+    not iterable."""
+    try:
+        it = iter(items)
+    except TypeError:
+        raise UsageError(
+            f"{what} {items!r} has type {type(items).__name__}, expected an iterable of {kind}"
+        ) from None
+    return tuple(it)
 
 
 def _check_int(what: str, value: object, hi: int | None = None, *, optional: bool = False) -> None:
@@ -230,7 +263,7 @@ def _check_int(what: str, value: object, hi: int | None = None, *, optional: boo
         raise UsageError(f"{what} {value} leaves [0, {hi})")
 
 
-def image_of_set(dfa: Dfa, s: StateSet, word: Sequence[int]) -> StateSet:
+def image_of_set(dfa: Dfa, s: StateSet, word: Iterable[int]) -> StateSet:
     """Image of the state set ``s`` under ``word``.
 
     The cardinality of the image never increases along any prefix of the
@@ -238,7 +271,7 @@ def image_of_set(dfa: Dfa, s: StateSet, word: Sequence[int]) -> StateSet:
     """
     if s.n != dfa.n:
         raise UsageError(f"set capacity {s.n} does not match state count {dfa.n}")
-    _check_letters(dfa.k, word)
+    word = _check_letters(dfa.k, word)
     image = set(s)
     for j in word:
         image = set(map(dfa.delta[j].__getitem__, image))
@@ -261,11 +294,10 @@ def is_idempotent_letter(dfa: Dfa, j: int) -> bool:
     return all(row[row[q]] == row[q] for q in range(dfa.n))
 
 
-def is_idempotent_word(dfa: Dfa, word: Sequence[int]) -> bool:
+def is_idempotent_word(dfa: Dfa, word: Iterable[int]) -> bool:
     """True when the selfmap induced by ``word`` equals its own square."""
-    _check_letters(dfa.k, word)
     once = list(range(dfa.n))
-    for j in word:
+    for j in _check_letters(dfa.k, word):
         once = list(map(dfa.delta[j].__getitem__, once))
     return list(map(once.__getitem__, once)) == once
 
@@ -419,6 +451,7 @@ def quotient(dfa: Dfa, pi: Congruence) -> Dfa:
 
 def word_from_names(dfa: Dfa, names: Iterable[str]) -> Word:
     """Translate letter names into a word of letter indices."""
+    names = _read_once("word", names, "letter names")
     index = dict(zip(dfa.letters, range(dfa.k)))
     try:
         return tuple(map(index.__getitem__, names))
@@ -427,7 +460,6 @@ def word_from_names(dfa: Dfa, names: Iterable[str]) -> Word:
         raise
 
 
-def word_to_names(dfa: Dfa, word: Sequence[int]) -> tuple[str, ...]:
+def word_to_names(dfa: Dfa, word: Iterable[int]) -> tuple[str, ...]:
     """Translate a word of letter indices into letter names."""
-    _check_letters(dfa.k, word)
-    return tuple(map(dfa.letters.__getitem__, word))
+    return tuple(map(dfa.letters.__getitem__, _check_letters(dfa.k, word)))

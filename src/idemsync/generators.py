@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Callable, Sequence
+from itertools import compress, islice, repeat
+from typing import Callable, Iterable, Iterator
 
 from .core import Dfa, UsageError, Word, _check_int, _check_letters
 
@@ -66,11 +66,12 @@ def higgins_transform(dfa: Dfa) -> HigginsImage:
     rows = [identity + row for row in dfa.delta]
     rows.append(primed + primed)
     letters = tuple(f"a{j + 1}" for j in range(dfa.k)) + ("b",)
-    result = Dfa(2 * n, letters, tuple(rows))
+    # rows of a checked automaton, extended by entries below 2n
+    result = Dfa._from_checked(2 * n, letters, tuple(rows))
     return HigginsImage(result, n, tuple(range(dfa.k)), dfa.k)
 
 
-def chi_encode(image: HigginsImage, word: Sequence[int]) -> Word:
+def chi_encode(image: HigginsImage, word: Iterable[int]) -> Word:
     """Encode a base word as a word of the doubled automaton.
 
     Each base letter ``j`` maps to the two-letter block ``b a_j``, so
@@ -79,15 +80,14 @@ def chi_encode(image: HigginsImage, word: Sequence[int]) -> Word:
     image of the full doubled state set equals the image of the full
     base state set whenever the word is nonempty.
     """
-    _check_letters(len(image.a_index), word)
     out = []
-    for j in word:
+    for j in _check_letters(len(image.a_index), word):
         out.append(image.b_index)
         out.append(image.a_index[j])
     return tuple(out)
 
 
-def chi_decode(image: HigginsImage, word: Sequence[int]) -> Word | NotInImage:
+def chi_decode(image: HigginsImage, word: Iterable[int]) -> Word | NotInImage:
     """Invert :func:`chi_encode` when possible.
 
     Returns the unique base word whose encoding is ``word``, or a
@@ -95,7 +95,7 @@ def chi_decode(image: HigginsImage, word: Sequence[int]) -> Word | NotInImage:
     breaks the ``b a_j`` block structure.  A failed decode is a normal
     return, not an error.
     """
-    _check_letters(image.result.k, word)
+    word = _check_letters(image.result.k, word)
     base_of = {a: j for j, a in enumerate(image.a_index)}
     out = []
     i = 0
@@ -168,6 +168,10 @@ def gen_flipflop() -> Dfa:
     return Dfa(2, ("a", "b"), ((0, 0), (1, 1)))
 
 
+# the digits of a binary numeral as the byte values 0 and 1, for compress
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def gen_random_idempotent(n: int, k: int, seed: int) -> Dfa:
     """Seeded random automaton whose ``k`` letters are all idempotent.
 
@@ -181,10 +185,11 @@ def gen_random_idempotent(n: int, k: int, seed: int) -> Dfa:
         # flags[q] is "1" when bit q of the image set is set; reading
         # all n bits at once keeps the letter linear in n
         flags = format(rng.randrange(1, 1 << n), f"0{n}b")[::-1]
-        image = [q for q, flag in enumerate(flags) if flag == "1"]
+        image = list(compress(range(n), flags.encode().translate(_BIT_VALUES)))
         # state q takes the next fixed point, which is q itself, or the next
-        # draw; the draws are made lazily, in state order
-        sources = {"1": iter(image), "0": map(rng.choice, repeat(image))}
+        # draw of a member, which is what rng.choice(image) would return
+        picks = map(image.__getitem__, _draws(rng, len(image)))
+        sources = {"1": iter(image), "0": picks}
         return tuple(map(next, map(sources.__getitem__, flags)))
 
     return _seeded(n, k, seed, draw_row)
@@ -192,7 +197,18 @@ def gen_random_idempotent(n: int, k: int, seed: int) -> Dfa:
 
 def gen_random_dfa(n: int, k: int, seed: int) -> Dfa:
     """Seeded uniform random automaton; used for sampling-based checks."""
-    return _seeded(n, k, seed, lambda rng: tuple(rng.randrange(n) for _ in range(n)))
+    return _seeded(n, k, seed, lambda rng: tuple(islice(_draws(rng, n), n)))
+
+
+def _draws(rng: random.Random, m: int) -> Iterator[int]:
+    """Endless uniform draws from ``range(m)``, ``m >= 1``, made in C.
+
+    Each draw makes exactly the ``getrandbits`` calls that
+    ``rng.randrange(m)`` and ``rng.choice`` of an ``m``-item sequence make
+    on CPython (``Random._randbelow_with_getrandbits``): ``m.bit_length()``
+    bits at a time, until a value below ``m`` comes up.
+    """
+    return filter(m.__gt__, map(rng.getrandbits, repeat(m.bit_length())))
 
 
 def _check_count(unit: str, n: int) -> None:
@@ -206,6 +222,9 @@ def _seeded(n: int, k: int, seed: int, draw_row: Callable[[random.Random], tuple
     _check_count("state", n)
     _check_count("letter", k)
     _check_int("seed", seed)
+    if seed < 0:  # Random seeds from abs(seed), so -5 would repeat 5
+        raise UsageError(f"seed must be nonnegative, got {seed}")
     rng = random.Random(seed)
     rows = tuple(draw_row(rng) for _ in range(k))
-    return Dfa(n, tuple(f"x{j + 1}" for j in range(k)), rows)
+    # every row is drawn in range: n exact ints below n
+    return Dfa._from_checked(n, tuple(f"x{j + 1}" for j in range(k)), rows)

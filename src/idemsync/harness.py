@@ -30,7 +30,7 @@ from .analysis import (
     reset_threshold,
     verify_reset_word,
 )
-from .core import Dfa, UsageError, _check_int
+from .core import Dfa, UsageError, _check_int, _read_once
 from .generators import (
     chi_encode,
     gen_cerny,
@@ -356,7 +356,11 @@ def run_harness(
     Records are ordered by claim id and then by the claim's own
     parameter order; failures are recorded, never raised.
     """
-    selected = sorted(set(CLAIMS if claims is None else claims))
+    if claims is None:
+        claims = CLAIMS
+    elif isinstance(claims, str):  # which would be read as its characters
+        raise UsageError(f"claim ids {claims!r} is a string, expected an iterable of claim ids")
+    selected = sorted(set(_read_once("claim ids", claims, "claim ids")))
     unknown = [c for c in selected if c not in CLAIMS]
     if unknown:
         raise UsageError(f"unknown claim ids {unknown}; known: {sorted(CLAIMS)}")

@@ -72,28 +72,31 @@ def parse_automaton(text: str) -> Dfa:
             raise ParseError(lineno, f"duplicate letter name {name!r}")
         letters[name] = None
         table.append(_state_indices(lineno, name, rest[0] if rest else "", n))
-    return Dfa(n, tuple(letters), tuple(table))
+    # every Dfa rule is checked above: n and k are positive ints, a split
+    # name is nonempty with no whitespace and no "#" (comments are cut),
+    # names are distinct, and each row holds n ints in [0, n)
+    return Dfa._from_checked(n, tuple(letters), tuple(table))
 
 
 def _state_indices(lineno: int, name: str, text: str, n: int) -> tuple[int, ...]:
     """The targets of letter ``name``, the rest of its row, as integers in
     ``[0, n)``.
 
-    A row of ASCII digit runs between single spaces, as rendered, is read
-    in one C-level pass by the JSON decoder, which reads each run as
-    ``int`` does or refuses it (a leading zero).  Any other row, and one
-    with the wrong count or an index out of range, takes the token-by-token
-    scan, which names the first fault.
+    An ASCII row without commas is decoded in one C-level pass by the JSON
+    decoder, with spaces read as commas, and taken when it gives ``n``
+    values, all of type ``int`` and in range: the JSON decoder reads a
+    signed digit run as ``int`` does and refuses a leading zero, and each
+    other spelling it reads gives a value of another type.  Any other row
+    takes the token-by-token scan, which names the first fault.
     """
-    digits = text.replace(" ", "")
-    if digits.isascii() and digits.isdigit():
+    if text.isascii() and "," not in text:  # a comma would split a token
         try:
             row = json.loads("[" + text.replace(" ", ",") + "]")
-        except ValueError:  # a leading zero, two spaces in a row, or too many digits
+        # a leading zero, two spaces in a row, too many digits or brackets
+        except (ValueError, RecursionError):
             pass
         else:
-            # digit runs are never negative
-            if len(row) == n and max(row) < n:
+            if len(row) == n and set(map(type, row)) == {int} and min(row) >= 0 and max(row) < n:
                 return tuple(row)
     targets = text.split()
     if len(targets) != n:

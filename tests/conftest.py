@@ -10,15 +10,22 @@ from idemsync import Dfa
 @pytest.fixture
 def built_sizes(monkeypatch):
     """The state count of every ``Dfa`` constructed while the test runs,
-    in construction order."""
+    in construction order, through ``Dfa(...)`` or the private constructor
+    for rows already checked."""
     sizes = []
     validate = Dfa.__post_init__
+    from_checked = Dfa._from_checked.__func__
 
     def recording(self):
         sizes.append(self.n)
         validate(self)
 
+    def recording_checked(cls, n, letters, delta):
+        sizes.append(n)
+        return from_checked(cls, n, letters, delta)
+
     monkeypatch.setattr(Dfa, "__post_init__", recording)
+    monkeypatch.setattr(Dfa, "_from_checked", classmethod(recording_checked))
     return sizes
 
 

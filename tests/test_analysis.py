@@ -548,6 +548,23 @@ def _owner(tree: ast.Module, node: ast.AST) -> str:
     return owners[-1] if owners else "<module>"
 
 
+def test_only_three_checked_sites_skip_the_dfa_scan():
+    # each builds rows that its own checks or construction cover
+    callers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        callers += [
+            f"{path.name}:{_owner(tree, node)}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "_from_checked"
+        ]
+    assert sorted(callers) == [
+        "generators.py:_seeded",
+        "generators.py:higgins_transform",
+        "saf.py:parse_automaton",
+    ]
+
+
 def test_the_integer_type_rule_is_written_once():
     # every integer parameter goes through core._check_int for its type rule
     writers = []

@@ -1,11 +1,15 @@
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idemsync import (
     chi_encode,
@@ -20,6 +24,7 @@ from idemsync import (
 )
 from idemsync.cli import main
 from oracles import cerny_with_tail
+from strategies import dfas
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -55,6 +60,13 @@ class TestGen:
     def test_bad_parameter_exits_with_usage_code(self, capsys):
         assert main(["gen", "cerny", "-n", "1"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_negative_seed_is_refused(self, capsys):
+        # it would print the automaton of --seed 5
+        assert main(["gen", "random-idem", "-n", "4", "-k", "2", "--seed", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be nonnegative, got -5\n"
 
 
 class TestTransform:
@@ -306,6 +318,16 @@ class TestErrors:
         assert main(["analyze", "/nonexistent/a.saf"]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    def test_null_byte_in_the_path_is_a_usage_error(self, capsys):
+        # open() raises ValueError, not OSError, for it
+        assert main(["export-dot", "a\x00b"]) == 2
+        assert capsys.readouterr().err == "error: cannot read 'a\\x00b': embedded null byte\n"
+
+    def test_file_given_as_a_second_double_dash(self, capsys):
+        # argparse reads the file of `chi encode -- --` as an empty list
+        assert main(["chi", "encode", "--", "--"]) == 2
+        assert capsys.readouterr().err == "error: missing file argument\n"
+
     def test_non_utf8_file_is_a_usage_error(self, tmp_path, capsys):
         path = tmp_path / "utf16.saf"
         path.write_bytes(b"\xff\xfeS\x00A\x00F\x00 \x001\x00\n\x00")
@@ -371,3 +393,76 @@ class TestErrors:
         path.write_text("SAF 1\n3 1\nr 0 1 7\n", encoding="utf-8")
         assert main(["analyze", str(path)]) == 2
         assert "line 3" in capsys.readouterr().err
+
+
+# each subcommand's argv head and the flags, choices and letter names it takes
+CLI_SHAPES = {
+    ("gen", "cerny"): ["-n"],
+    ("gen", "ladder"): ["-n"],
+    ("gen", "gusev"): ["-n"],
+    ("gen", "flipflop"): [],
+    ("gen", "random-idem"): ["-n", "-k", "--seed"],
+    ("transform", "higgins"): ["-"],
+    ("analyze",): ["-", "--budget"],
+    ("shortest-word",): ["-", "--budget"],
+    ("verify",): ["--budget", "--json", "cerny", "gusev7", "ladder", "cor3"],
+    ("synchronize",): ["--idem2", "-"],
+    ("export-dot",): ["-"],
+    ("chi",): ["encode", "decode", "-", "x1", "x2", "a1", "b"],
+}
+# numbers stay small, so every accepted size is cheap to build and search
+HOSTILE_TOKENS = [
+    "", " ", "-", "--", "-h", "-1", "-0", "0", "1", "2", "5", "9", "1.5", "1e3", "0x10",
+    "1_0", "x", "\u00e9", "a\nb", "\x00", "--budget=-3", "--seed=-2", "--nope",
+    "/nonexistent/in.saf", "gen", "verify",
+]
+
+
+@st.composite
+def cli_argv(draw) -> list[str]:
+    head = draw(st.sampled_from(sorted(CLI_SHAPES)))
+    tokens = st.sampled_from(CLI_SHAPES[head] + HOSTILE_TOKENS)
+    return [*head, *draw(st.lists(tokens, max_size=6))]
+
+
+@st.composite
+def saf_bytes(draw) -> bytes:
+    """Random bytes, or the SAF text of a small automaton with random
+    bytes spliced in."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=48))
+    text = render_automaton(draw(dfas(max_n=5, max_k=3))).encode()
+    at = draw(st.integers(0, len(text)))
+    cut = draw(st.integers(0, 3))
+    return text[:at] + draw(st.binary(max_size=4)) + text[at + cut:]
+
+
+def _run_in_process(argv: list[str], data: bytes, errors: str) -> tuple[int, str, str]:
+    """The exit code, standard output and standard error of ``main(argv)``
+    reading ``data`` as standard input decoded with ``errors``."""
+    stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors=errors)
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", stdin), contextlib.redirect_stdout(
+        out
+    ), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exit_:  # argparse: a usage error, or --help
+            code = exit_.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestHostileInput:
+    """Any argv and any bytes on standard input, run in process through the
+    one parser ``main`` builds: an exit code of 0, 1 or 2, a one-line
+    message on 2, and never an uncaught exception."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(cli_argv(), saf_bytes(), st.sampled_from(["strict", "surrogateescape"]))
+    def test_exit_codes_and_one_line_errors(self, argv, data, errors):
+        code, out, err = _run_in_process(argv, data, errors)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out == ""
+            assert err.count("\n") == 1 and err.endswith("\n")
+            assert "error: " in err

@@ -603,6 +603,42 @@ def test_letter_checks_report_the_first_bad_entry():
     assert str(info.value) == "letter index 1.0 has type float, expected int"
 
 
+CERNY4 = gen_cerny(4)
+CERNY4_IMAGE = higgins_transform(CERNY4)
+
+# (entry point, call with one word, a word it answers for)
+WORD_TAKERS = [
+    ("apply_word", lambda w: apply_word(CERNY4, 3, w), (0, 1)),
+    ("verify_reset_word", lambda w: verify_reset_word(CERNY4, w), reset_threshold(CERNY4).witness),
+    ("image_of_set", lambda w: image_of_set(CERNY4, StateSet.full(4), w), (0,)),
+    ("is_idempotent_word", lambda w: is_idempotent_word(CERNY4, w), (1,)),
+    ("word_to_names", lambda w: word_to_names(CERNY4, w), (0, 1)),
+    ("word_from_names", lambda w: word_from_names(CERNY4, w), ("s1", "s2")),
+    ("chi_encode", lambda w: chi_encode(CERNY4_IMAGE, w), (0, 1)),
+    ("chi_decode", lambda w: chi_decode(CERNY4_IMAGE, w), (2, 0, 2, 1)),
+]
+WORD_FORMS = [list, tuple, iter, lambda w: (j for j in w)]
+
+
+@pytest.mark.parametrize("form", WORD_FORMS, ids=["list", "tuple", "iter", "generator"])
+@pytest.mark.parametrize("name, call, word", WORD_TAKERS, ids=[name for name, _, _ in WORD_TAKERS])
+def test_a_word_in_any_iterable_form_is_read_once(name, call, word, form):
+    # a one-shot iterator used to be emptied by the letter check
+    assert call(form(word)) == call(tuple(word))
+
+
+@pytest.mark.parametrize("word", [5, None, 1.5], ids=["int", "none", "float"])
+@pytest.mark.parametrize("name, call, _", WORD_TAKERS, ids=[name for name, _, _ in WORD_TAKERS])
+def test_a_word_that_is_not_iterable_is_refused(name, call, _, word):
+    kind = "letter names" if name == "word_from_names" else "letter indices"
+    with pytest.raises(UsageError) as info:
+        call(word)
+    assert type(info.value) is UsageError
+    assert str(info.value) == (
+        f"word {word!r} has type {type(word).__name__}, expected an iterable of {kind}"
+    )
+
+
 # (callable.parameter, the start of its type message, call with one value,
 # whether its cost is flat in the value and so it also takes 2**70)
 INT_TAKERS = [

@@ -254,6 +254,9 @@ class TestRandomGenerators:
             (gen_random_idempotent, (3, 0, 1), "need at least 1 letter, got 0"),
             (gen_random_dfa, (0, 2, 1), "need at least 1 state, got 0"),
             (gen_random_dfa, (3, 0, 1), "need at least 1 letter, got 0"),
+            # Random(-5) seeds from abs(-5), so these would repeat seed 5
+            (gen_random_idempotent, (3, 2, -5), "seed must be nonnegative, got -5"),
+            (gen_random_dfa, (3, 2, -1), "seed must be nonnegative, got -1"),
         ],
     )
     def test_size_rules(self, generate, args, message):

@@ -62,6 +62,18 @@ def test_unknown_claim_is_rejected():
         run_harness(["cerny", "bogus"])
 
 
+def test_a_bare_string_is_not_read_as_its_characters():
+    with pytest.raises(UsageError) as info:
+        run_harness("cerny")
+    assert str(info.value) == "claim ids 'cerny' is a string, expected an iterable of claim ids"
+
+
+def test_claim_ids_that_are_not_iterable_are_refused():
+    with pytest.raises(UsageError) as info:
+        run_harness(5)
+    assert str(info.value) == "claim ids 5 has type int, expected an iterable of claim ids"
+
+
 def test_gusev_claim_gates_only_the_seven_state_instance():
     report = run_harness(["gusev7"])
     gating = [r for r in report.records if not r.informative]

@@ -71,6 +71,7 @@ def test_every_accepted_name_survives_the_round_trip(args):
     except UsageError as err:
         assert str(err).startswith("bad letter name ")
         return
+    _assert_same_outcome(render_automaton(dfa))
     assert parse_automaton(render_automaton(dfa)) == dfa
 
 
@@ -168,9 +169,11 @@ def _outcome(parse, text):
         return err.line, str(err)
 
 
-# spellings that int() accepts or refuses besides plain ASCII digits
+# spellings that int() accepts or refuses besides plain ASCII digits, and
+# ones only the JSON decoder reads: as another type, or as two numbers
 ODD_TOKENS = ["x", "+1", "1_0", "\u0661", "\u0663", "-0", "01", "-1", "1.0", "0x1",
-              "\u00b2", "1e1", "_1", "+"]
+              "\u00b2", "1e1", "_1", "+",
+              "true", "null", "NaN", "Infinity", "1E2", '"1"', "[1]", "1,0", "0,"]
 
 
 @st.composite
@@ -192,6 +195,16 @@ def saf_texts(draw) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _assert_same_outcome(text):
+    """``parse_automaton`` and the reference agree on ``text``, and an
+    automaton it returns passes every check of ``Dfa(...)``, which its
+    constructor skips."""
+    outcome = _outcome(parse_automaton, text)
+    assert outcome == _outcome(reference_parse_automaton, text)
+    if isinstance(outcome, Dfa):
+        assert outcome == Dfa(outcome.n, outcome.letters, outcome.delta)
+
+
 class TestParseDifferential:
     """``parse_automaton`` against the token-by-token parser it replaced:
     the same automaton, or the same message on the same line."""
@@ -199,7 +212,7 @@ class TestParseDifferential:
     @settings(max_examples=300, deadline=None)
     @given(saf_texts())
     def test_matches_the_token_loop(self, text):
-        assert _outcome(parse_automaton, text) == _outcome(reference_parse_automaton, text)
+        _assert_same_outcome(text)
 
     @pytest.mark.parametrize(
         "rows, expected",
@@ -217,13 +230,19 @@ class TestParseDifferential:
             ("r 0 00 02", Dfa(3, ("r",), ((0, 0, 2),))),
             ("r 0 1\t2", Dfa(3, ("r",), ((0, 1, 2),))),
             ("r 0 1 2 0", (3, "line 3: letter 'r' has 4 targets, expected 3")),
+            # JSON spellings of other types, and a comma that makes two numbers
+            ("r 0 true 1", (3, "line 3: bad state index 'true'")),
+            ("r 0 1E0 2", (3, "line 3: bad state index '1E0'")),
+            ("r 0 1,2", (3, "line 3: letter 'r' has 2 targets, expected 3")),
+            ("r 0 [1] 2", (3, "line 3: bad state index '[1]'")),
+            ("r " + "[" * 100000, (3, "line 3: letter 'r' has 1 targets, expected 3")),
         ],
     )
     def test_first_bad_token_and_int_spellings(self, rows, expected):
         k = rows.count("\n") + 1
         text = f"SAF 1\n3 {k}\n{rows}\n"
         assert _outcome(parse_automaton, text) == expected
-        assert _outcome(reference_parse_automaton, text) == expected
+        _assert_same_outcome(text)
 
     def test_a_run_of_5000_digits(self):
         # past int()'s default digit limit where there is one

@@ -33,26 +33,53 @@ from oracles import (
 from strategies import dfas
 
 
-class TestRandomIdempotent:
+def _rechecked(dfa: Dfa) -> Dfa:
+    """``dfa`` rebuilt through every check of ``Dfa(...)``, which refuses
+    an entry of another type or out of range, a name or a row count."""
+    return Dfa(dfa.n, dfa.letters, dfa.delta)
+
+
+def _assert_generated(gen, reference, n, k, seed):
+    """``gen`` matches ``reference``, and its automaton and the doubling of
+    it, both built with no entry scan, pass the full one."""
+    dfa = gen(n, k, seed)
+    assert dfa == reference(n, k, seed) == _rechecked(dfa)
+    doubled = higgins_transform(dfa).result
+    assert doubled == _rechecked(doubled)
+
+
+GENERATORS = [
+    pytest.param(gen_random_idempotent, reference_gen_random_idempotent, id="idempotent"),
+    pytest.param(gen_random_dfa, reference_gen_random_dfa, id="dfa"),
+]
+
+
+@pytest.mark.parametrize("gen, reference", GENERATORS)
+class TestSeededGenerators:
+    """The C-level draws against the ``randrange`` and ``choice`` calls
+    they replaced."""
+
     # n up to 300 crosses many byte boundaries of the image set
     @settings(max_examples=150, deadline=None)
-    @given(st.integers(1, 300), st.integers(1, 3), st.integers())
-    def test_matches_the_reference(self, n, k, seed):
-        assert gen_random_idempotent(n, k, seed) == reference_gen_random_idempotent(
-            n, k, seed
-        )
+    @given(n=st.integers(1, 300), k=st.integers(1, 3), seed=st.integers())
+    def test_matches_the_reference(self, gen, reference, n, k, seed):
+        if seed < 0:  # Random(-s) would repeat Random(s)
+            with pytest.raises(UsageError) as info:
+                gen(n, k, seed)
+            assert str(info.value) == f"seed must be nonnegative, got {seed}"
+            return
+        _assert_generated(gen, reference, n, k, seed)
 
-    def test_matches_the_reference_at_20000_states(self):
-        assert gen_random_idempotent(20000, 2, 11) == reference_gen_random_idempotent(
-            20000, 2, 11
-        )
+    @pytest.mark.parametrize(
+        "n, k, seed",
+        [(1, k, seed) for k in (1, 2, 3) for seed in (0, 9, 2**31 + 7)]
+        + [(2, 2, 2**31), (37, 3, 2**31 + 1), (129, 2, 2**64 + 3)],
+    )
+    def test_edge_sizes_and_seeds_past_two_to_the_31(self, gen, reference, n, k, seed):
+        _assert_generated(gen, reference, n, k, seed)
 
-
-class TestRandomDfa:
-    @settings(max_examples=150, deadline=None)
-    @given(st.integers(1, 300), st.integers(1, 3), st.integers())
-    def test_matches_the_reference(self, n, k, seed):
-        assert gen_random_dfa(n, k, seed) == reference_gen_random_dfa(n, k, seed)
+    def test_matches_the_reference_at_20000_states(self, gen, reference):
+        _assert_generated(gen, reference, 20000, 2, 11)
 
 
 @st.composite
