@@ -66,6 +66,26 @@ def _cmd_write(args: argparse.Namespace) -> int:
     return 0
 
 
+def _higgins_text(dfa: Dfa) -> str:
+    """``render_automaton(higgins_transform(dfa).result)``, written from the
+    base rows without building the doubled table.
+
+    Row ``a_j`` of the doubled automaton is the identity on the original
+    states followed by base row ``j``, and row ``b`` is the primed copy
+    twice, so the identity and primed text is formatted once and shared;
+    no 2n-entry row and no int object per new state is made.
+    """
+    n = dfa.n
+    entries = " %d" * n  # a row as render_automaton writes it
+    identity = entries % tuple(range(n))
+    primed = entries % tuple(range(n, 2 * n))
+    parts = [f"SAF 1\n{2 * n} {dfa.k + 1}\n"]
+    for j, row in enumerate(dfa.delta):
+        parts += [f"a{j + 1}", identity, entries % row, "\n"]
+    parts += ["b", primed, primed, "\n"]
+    return "".join(parts)
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     dfa = _read_dfa(args.file)
     report = analyze_automaton(dfa, SearchBudget(max_subsets=args.budget))
@@ -199,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(
         func=_cmd_write,
-        text=lambda a: render_automaton(higgins_transform(_read_dfa(a.file)).result),
+        text=lambda a: _higgins_text(_read_dfa(a.file)),
     )
 
     p = sub.add_parser(

@@ -2,10 +2,11 @@
 
 ``gen_random_idempotent``, ``gen_random_dfa``, ``export_dot`` and
 ``render_automaton`` must give byte for byte what the implementations
-they replaced give, kept in ``oracles.py``, and ``export_dot`` and
-``render_automaton`` must hold at most two copies of their output;
-``StateSet`` must agree with a plain ``set`` on membership, order and
-errors.
+they replaced give, kept in ``oracles.py``, and the text that
+``transform higgins`` writes from the base rows must be the rendering of
+``higgins_transform``; each text layer must hold at most two copies of
+its output; ``StateSet`` must agree with a plain ``set`` on membership,
+order and errors.
 """
 
 import random
@@ -24,6 +25,7 @@ from idemsync import (
     higgins_transform,
     render_automaton,
 )
+from idemsync.cli import _higgins_text
 from oracles import (
     reference_export_dot,
     reference_gen_random_dfa,
@@ -136,9 +138,16 @@ class TestTextRendering:
         assert render_automaton(dfa) == reference_render_automaton(dfa)
 
     def test_doubled_random_idempotent(self):
-        dfa = higgins_transform(gen_random_idempotent(20000, 2, 3)).result
+        base = gen_random_idempotent(20000, 2, 3)
+        dfa = higgins_transform(base).result
         assert export_dot(dfa) == reference_export_dot(dfa)
         assert render_automaton(dfa) == reference_render_automaton(dfa)
+        assert _higgins_text(base) == render_automaton(dfa)
+
+    @settings(max_examples=100, deadline=None)
+    @given(dfas(max_n=12, max_k=4))
+    def test_doubled_text_is_written_from_the_base_rows(self, dfa):
+        assert _higgins_text(dfa) == render_automaton(higgins_transform(dfa).result)
 
     def test_large_random_automaton(self):
         # past about seven letters nearly every state has a shape of its own
@@ -157,6 +166,12 @@ class TestTextMemory:
         dfa = higgins_transform(gen_random_idempotent(100000, 2, 7)).result
         text = render_automaton(dfa)
         assert peak_bytes(lambda: render_automaton(dfa)) <= 2 * len(text) + (1 << 20)
+
+    def test_doubled_saf_from_the_base_rows(self, peak_bytes):
+        # what the benchmark's transform writes, with no doubled table
+        dfa = gen_random_idempotent(100000, 2, 7)
+        text = _higgins_text(dfa)
+        assert peak_bytes(lambda: _higgins_text(dfa)) <= 2 * len(text) + (1 << 20)
 
     def test_dot_of_the_random_idempotent_input(self, peak_bytes):
         dfa = gen_random_idempotent(100000, 2, 7)
