@@ -450,13 +450,20 @@ def quotient(dfa: Dfa, pi: Congruence) -> Dfa:
 
 
 def word_from_names(dfa: Dfa, names: Iterable[str]) -> Word:
-    """Translate letter names into a word of letter indices."""
+    """Translate letter names into a word of letter indices; ``UsageError``
+    names the first item that is not a ``str`` or not a letter."""
     names = _read_once("word", names, "letter names")
     index = dict(zip(dfa.letters, range(dfa.k)))
     try:
         return tuple(map(index.__getitem__, names))
-    except KeyError as missing:
-        dfa.letter_index(*missing.args)  # raises the "no letter named" error
+    except (KeyError, TypeError):  # an unknown or an unhashable name
+        for name in names:
+            if not isinstance(name, str):
+                raise UsageError(
+                    f"letter name {name!r} has type {type(name).__name__}, expected str"
+                ) from None
+            if name not in index:
+                dfa.letter_index(name)  # raises the "no letter named" error
         raise
 
 

@@ -354,13 +354,18 @@ def run_harness(
     """Run the selected claims (all of them by default).
 
     Records are ordered by claim id and then by the claim's own
-    parameter order; failures are recorded, never raised.
+    parameter order; failures are recorded, never raised.  A claim id
+    that is not a ``str``, or not a known claim, raises ``UsageError``.
     """
     if claims is None:
         claims = CLAIMS
     elif isinstance(claims, str):  # which would be read as its characters
         raise UsageError(f"claim ids {claims!r} is a string, expected an iterable of claim ids")
-    selected = sorted(set(_read_once("claim ids", claims, "claim ids")))
+    ids = _read_once("claim ids", claims, "claim ids")
+    for claim in ids:
+        if not isinstance(claim, str):  # unhashable, or unsortable beside the others
+            raise UsageError(f"claim id {claim!r} has type {type(claim).__name__}, expected str")
+    selected = sorted(set(ids))
     unknown = [c for c in selected if c not in CLAIMS]
     if unknown:
         raise UsageError(f"unknown claim ids {unknown}; known: {sorted(CLAIMS)}")

@@ -7,7 +7,8 @@ known structure by construction.  The exceptions are the library's
 earlier engines, kept verbatim as differential references:
 :func:`reference_reset_threshold` (the subset search, which reuses only
 the pair test), :func:`reference_is_synchronizing` (the pair test over a
-reverse dict of pair predecessors),
+reverse dict of pair predecessors), :func:`reference_pair_test` (the
+closure that only pushes, on the library's component helpers),
 :func:`reference_synchronize_sink_2idem` (peeling by rescanning every
 predecessor each round, which reuses the library's preconditions and
 word check), the random generators :func:`reference_gen_random_idempotent`
@@ -27,6 +28,7 @@ scaffold), the text layers
 from __future__ import annotations
 
 import random
+from array import array
 
 from idemsync import (
     DEFAULT_BUDGET,
@@ -43,6 +45,12 @@ from idemsync import (
     is_idempotent_letter,
     is_synchronizing,
     verify_reset_word,
+)
+from idemsync.core import (
+    _predecessors,
+    _reaches_all,
+    _sink_list,
+    _terminal_component,
 )
 from idemsync.saf import ParseError, _significant_lines
 
@@ -255,6 +263,47 @@ def reference_is_synchronizing(dfa: Dfa) -> bool:
     return all(
         mergeable[p * n + q] for p in range(n) for q in range(p + 1, n)
     )
+
+
+def reference_pair_test(delta) -> bool:
+    """The earlier pair closure: the same sink screen, terminal component
+    and inverse lists, with every merged pair expanded from a LIFO
+    worklist of 4-byte pair indices, however wide it grows."""
+    sinks = _sink_list(delta)
+    if len(sinks) > 1:
+        return False
+    predecessors = _predecessors(delta)
+    component = sinks or _terminal_component(delta, predecessors)
+    n = len(component)
+    if n < len(delta[0]) and not _reaches_all(predecessors, component[0]):
+        return False
+    if n == 1:
+        return True
+    component.sort()
+    index = dict(zip(component, range(n))).__getitem__
+    inverses = [_predecessors([[index(row[q]) for q in component]]) for row in delta]
+    merged = bytearray(n * n)
+    merged[:: n + 1] = b"\x01" * n
+    stack = array("I", range(0, n * n, n + 1))
+    pop = stack.pop
+    push = stack.append
+    unmerged = n * (n - 1)
+    while stack:
+        u, v = divmod(pop(), n)
+        for inverse in inverses:
+            sources = inverse[v]
+            if not sources:
+                continue
+            for p in inverse[u]:
+                base = p * n
+                for q in sources:
+                    if not merged[base + q]:
+                        merged[base + q] = merged[q * n + p] = 1
+                        push(base + q)
+                        unmerged -= 2
+                        if not unmerged:
+                            return True
+    return False
 
 
 def reference_is_proper(dfa: Dfa) -> bool:

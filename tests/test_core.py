@@ -547,6 +547,17 @@ class TestWordNames:
         assert type(info.value) is UsageError
         assert str(info.value) == "no letter named 'nope'"
 
+    def test_a_name_that_is_not_a_string_is_refused_with_its_type(self):
+        # an unhashable name used to raise a bare TypeError from the lookup
+        with pytest.raises(UsageError) as info:
+            word_from_names(gen_cerny(3), [["s1"]])
+        assert type(info.value) is UsageError
+        assert str(info.value) == "letter name ['s1'] has type list, expected str"
+        # the first bad item is the one reported, whatever its kind
+        with pytest.raises(UsageError) as info:
+            word_from_names(gen_cerny(3), ["s1", 2, "nope", ["s1"]])
+        assert str(info.value) == "letter name 2 has type int, expected str"
+
 
 CERNY3 = gen_cerny(3)
 CERNY3_IMAGE = higgins_transform(CERNY3)

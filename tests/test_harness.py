@@ -74,6 +74,18 @@ def test_claim_ids_that_are_not_iterable_are_refused():
     assert str(info.value) == "claim ids 5 has type int, expected an iterable of claim ids"
 
 
+def test_claim_ids_that_are_not_strings_are_refused():
+    # an unhashable id used to raise a bare TypeError from the set, and an
+    # int beside a string one from the sort
+    with pytest.raises(UsageError) as info:
+        run_harness([["cerny"]])
+    assert type(info.value) is UsageError
+    assert str(info.value) == "claim id ['cerny'] has type list, expected str"
+    with pytest.raises(UsageError) as info:
+        run_harness(["cerny", 3])
+    assert str(info.value) == "claim id 3 has type int, expected str"
+
+
 def test_gusev_claim_gates_only_the_seven_state_instance():
     report = run_harness(["gusev7"])
     gating = [r for r in report.records if not r.informative]

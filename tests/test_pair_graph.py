@@ -3,7 +3,8 @@
 ``is_synchronizing``, ``synchronize_sink_2idem`` and
 ``verify_reset_word`` must give exactly the answers of the engines they
 replaced, kept in ``oracles.py``: the same decision, the same
-lowest-free-index word, the same errors.
+lowest-free-index word, the same errors.  The pair closure's pull rounds
+are checked against the closure that only pushes.
 """
 
 import os
@@ -35,11 +36,13 @@ from idemsync import (
     synchronize_sink_2idem,
     verify_reset_word,
 )
+from idemsync import analysis
 from oracles import (
     cerny_with_tail,
     reference_image_of_set,
     reference_is_proper,
     reference_is_synchronizing,
+    reference_pair_test,
     reference_synchronize_sink_2idem,
 )
 from strategies import (
@@ -144,39 +147,138 @@ class TestPairTest:
 
     def test_memory_stays_within_three_and_a_half_tables(self):
         # a constant letter and a cyclic shift: merging the diagonal pair
-        # of the constant's image pushes every other pair at once, so the
-        # worklist peaks at about n**2 / 2 indices beside the n**2-byte table
-        pytest.importorskip("resource")
+        # of the constant's image finds every other pair at once, which a
+        # closure that only pushes holds as about n**2 / 2 worklist indices
+        # beside the n**2-byte table
         n = 3_000
-        # exec carries the test runner's peak RSS into ru_maxrss; a
-        # forked child starts from the fresh interpreter's own peak
-        script = (
-            "import os, resource\n"
-            "from idemsync import Dfa, is_synchronizing\n"
-            f"n = {n}\n"
-            "dfa = Dfa(n, ('c', 's'), ((0,) * n, tuple(range(1, n)) + (0,)))\n"
-            "if os.fork() == 0:\n"
-            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            "    synchronizing = is_synchronizing(dfa)\n"
-            "    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            "    print(synchronizing, after - before, flush=True)\n"
-            "    os._exit(0)\n"
-            "os.wait()\n"
+        synchronizing, growth = closure_growth(
+            f"Dfa({n}, ('c', 's'), ((0,) * {n}, tuple(range(1, {n})) + (0,)))"
         )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-            check=True,
+        assert synchronizing
+        assert growth <= 3.5 * n * n
+
+    def test_pull_rounds_stay_within_two_and_a_half_tables(self):
+        # a rank-2 letter q % 2 and a cyclic shift never synchronize: the
+        # odd pairs overflow the worklist at once, and pull rounds follow
+        # in the table's copy, the worklist freed
+        n = 3_000
+        synchronizing, growth = closure_growth(
+            f"Dfa({n}, ('a', 's'), "
+            f"(tuple(q % 2 for q in range({n})), tuple(range(1, {n})) + (0,)))"
         )
-        synchronizing, growth = proc.stdout.split()
-        unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss in bytes or KiB
-        assert synchronizing == "True"
-        assert int(growth) * unit <= 3.5 * n * n
+        assert not synchronizing
+        assert growth <= 2.5 * n * n
+
+    def test_random_closure_stays_within_two_and_a_half_tables(self):
+        # the terminal component has 3,172 of the 4,000 states
+        m = 3_172
+        synchronizing, growth = closure_growth("gen_random_dfa(4000, 2, 1)")
+        assert synchronizing
+        assert growth <= 2.5 * m * m
+
+
+def closure_growth(build: str) -> tuple[bool, int]:
+    """The pair test's verdict on the automaton the expression ``build``
+    makes, and the growth in bytes of peak RSS over the call, measured in
+    a child forked from a fresh interpreter."""
+    pytest.importorskip("resource")
+    # exec carries the test runner's peak RSS into ru_maxrss; a
+    # forked child starts from the fresh interpreter's own peak
+    script = (
+        "import os, resource\n"
+        "from idemsync import Dfa, gen_random_dfa, is_synchronizing\n"
+        f"dfa = {build}\n"
+        "if os.fork() == 0:\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "    synchronizing = is_synchronizing(dfa)\n"
+        "    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "    print(synchronizing, after - before, flush=True)\n"
+        "    os._exit(0)\n"
+        "os.wait()\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    synchronizing, growth = proc.stdout.split()
+    unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss in bytes or KiB
+    return synchronizing == "True", int(growth) * unit
+
+
+def rank_two_shift(n: int) -> Dfa:
+    """A rank-2 letter ``q % 2`` and a cyclic shift: the pairs of equal
+    parity merge and no others, so it never synchronizes."""
+    return Dfa(n, ("a", "s"), (tuple(q % 2 for q in range(n)), tuple(range(1, n)) + (0,)))
+
+
+def pull_cases() -> list[tuple[str, tuple]]:
+    """Transition rows above the pull floor: random automata on 150 to
+    1,000 states with one to three letters, the benchmark's doubled random
+    300 and its one-letter reducts, Černý 200 with a 50-state tail, a thin
+    doubled Černý 200 and a rank-2 automaton that never synchronizes."""
+    sizes = [(150, 1), (150, 2), (150, 3), (300, 2), (300, 3), (600, 3), (1000, 1), (1000, 2)]
+    cases = [(f"random-{n}-k{k}", gen_random_dfa(n, k, 1000 * n + k).delta) for n, k in sizes]
+    # the benchmark's pair-graph workload draws this base at seed 1
+    doubled = higgins_transform(gen_random_dfa(150, 2, 1089476529)).result.delta
+    cases.append(("doubled-random-300", doubled))
+    cases += [
+        (f"doubled-random-300-without-{j}", doubled[:j] + doubled[j + 1 :]) for j in range(3)
+    ]
+    cases.append(("cerny-200-tail-50", cerny_with_tail(200, 50).delta))
+    cases.append(("doubled-cerny-200", higgins_transform(gen_cerny(100)).result.delta))
+    cases.append(("rank-two-shift-300", rank_two_shift(300).delta))
+    return cases
+
+
+PULL_CASES = pull_cases()
+
+
+class TestPullRounds:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(dfas(max_n=12, max_k=4), unconnected_sink_free_dfas()),
+        st.sampled_from([2, 4, 8, 16, 64]),
+        st.sampled_from([1, 16, 4096]),
+    )
+    def test_tiny_automata_pulling_match_the_references(self, dfa, share, block):
+        # a floor of 2 and a small share send tiny components through pull
+        # rounds, and back to push steps; blocks of one or two rows, and
+        # a ragged last block, are exercised
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analysis, "_PULL_FLOOR", 2)
+            patch.setattr(analysis, "_PULL_SHARE", share)
+            patch.setattr(analysis, "_PULL_BLOCK", block)
+            synchronizing, proper = is_synchronizing(dfa), is_proper(dfa)
+        assert synchronizing == reference_is_synchronizing(dfa)
+        assert proper == reference_is_proper(dfa)
+
+    @pytest.mark.parametrize(
+        "rows", [rows for _, rows in PULL_CASES], ids=[name for name, _ in PULL_CASES]
+    )
+    def test_matches_the_closure_that_only_pushes(self, rows):
+        assert analysis._pair_test(rows) == reference_pair_test(rows)
+
+    def test_wide_closures_take_pull_rounds(self, monkeypatch):
+        rounds = []
+        pull_round = analysis._pull_round
+
+        def counting(*args):
+            found, listed = pull_round(*args)
+            rounds.append(found)
+            return found, listed
+
+        monkeypatch.setattr(analysis, "_pull_round", counting)
+        assert is_synchronizing(gen_random_dfa(600, 2, 1))
+        assert rounds
+        rounds.clear()
+        assert is_synchronizing(higgins_transform(gen_cerny(17)).result)
+        assert not rounds  # 34 states are under the floor
 
 
 class TestNoCopies:
