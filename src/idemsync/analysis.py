@@ -166,8 +166,8 @@ def is_synchronizing(dfa: Dfa) -> bool:
     - A push step pops a pair ``(u, v)`` from a LIFO worklist and, for
       each letter ``j``, merges the pairs ``(p, q)`` with ``p`` in ``j``'s
       preimage of ``u`` and ``q`` in its preimage of ``v``, read from
-      per-letter inverse lists.  Each pair is pushed and expanded once, in
-      ``O(k * m**2)`` Python steps over the whole closure.
+      per-letter inverse lists.  Each pair is pushed and expanded at most
+      once, in ``O(k * m**2)`` Python steps over the whole closure.
     - When the worklist outgrows ``m**2 / 128`` pairs, it is dropped for
       a pull round: for each letter row ``r``, a pair ``(p, q)`` is merged
       when ``(r[p], r[q])`` is, for every pair at once.  A round costs
