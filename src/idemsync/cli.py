@@ -27,6 +27,7 @@ from .core import Dfa, UsageError, Word, word_from_names, word_to_names
 from .dot import export_dot
 from .generators import (
     NotInImage,
+    _doubled_letters,
     chi_decode,
     chi_encode,
     gen_cerny,
@@ -37,7 +38,7 @@ from .generators import (
     higgins_transform,
 )
 from .harness import CLAIMS, run_harness
-from .saf import parse_automaton, render_automaton
+from .saf import _saf_text, parse_automaton, render_automaton
 from .two_idempotent import ContradictionError, synchronize_sink_2idem
 
 
@@ -64,26 +65,6 @@ def _read_dfa(path: str) -> Dfa:
 def _cmd_write(args: argparse.Namespace) -> int:
     sys.stdout.write(args.text(args))
     return 0
-
-
-def _higgins_text(dfa: Dfa) -> str:
-    """``render_automaton(higgins_transform(dfa).result)``, written from the
-    base rows without building the doubled table.
-
-    Row ``a_j`` of the doubled automaton is the identity on the original
-    states followed by base row ``j``, and row ``b`` is the primed copy
-    twice, so the identity and primed text is formatted once and shared;
-    no 2n-entry row and no int object per new state is made.
-    """
-    n = dfa.n
-    entries = " %d" * n  # a row as render_automaton writes it
-    identity = entries % tuple(range(n))
-    primed = entries % tuple(range(n, 2 * n))
-    parts = [f"SAF 1\n{2 * n} {dfa.k + 1}\n"]
-    for j, row in enumerate(dfa.delta):
-        parts += [f"a{j + 1}", identity, entries % row, "\n"]
-    parts += ["b", primed, primed, "\n"]
-    return "".join(parts)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -217,10 +198,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = transform_sub.add_parser(
         "higgins", parents=[file], help="double the states; all letters become idempotent"
     )
-    p.set_defaults(
-        func=_cmd_write,
-        text=lambda a: _higgins_text(_read_dfa(a.file)),
-    )
+    # the doubled text is written from the base rows, with no doubled table
+    p.set_defaults(func=_cmd_write, text=lambda a: _saf_text(_doubled_letters(_read_dfa(a.file))))
 
     p = sub.add_parser(
         "analyze", parents=[budget, file], help="structural and synchronization report"

@@ -91,6 +91,7 @@ class Dfa:
             raise UsageError("at least one letter is required")
         seen: set[str] = set()
         for name in self.letters:
+            _check_str("letter name", name)
             if not name or "#" in name or any(map(str.isspace, name)):
                 raise UsageError(f"bad letter name {name!r}")
             if name in seen:
@@ -177,11 +178,14 @@ class StateSet:
     @classmethod
     def of(cls, states: Iterable[int], n: int) -> "StateSet":
         _check_int("capacity", n)
-        # set bits in little-endian bytes, in O(1) each, and convert once
-        packed = bytearray((max(n, 0) + 7) // 8)
+        states = tuple(states)  # read once, checked, then set
         for q in states:
             if type(q) is not int or not 0 <= q < n:
                 _check_int("state", q, n)
+        # set bits in little-endian bytes, in O(1) each, and convert once;
+        # the bytes reach the largest member, whatever the capacity
+        packed = bytearray(max(states, default=-1) // 8 + 1)
+        for q in states:
             packed[q >> 3] |= 1 << (q & 7)
         return cls(int.from_bytes(packed, "little"), n)
 
@@ -263,6 +267,12 @@ def _check_int(what: str, value: object, hi: int | None = None, *, optional: boo
         raise UsageError(f"{what} {value} leaves [0, {hi})")
 
 
+def _check_str(what: str, value: object) -> None:
+    """Raise ``UsageError`` unless ``value`` is a ``str``."""
+    if not isinstance(value, str):
+        raise UsageError(f"{what} {value!r} has type {type(value).__name__}, expected str")
+
+
 def image_of_set(dfa: Dfa, s: StateSet, word: Iterable[int]) -> StateSet:
     """Image of the state set ``s`` under ``word``.
 
@@ -289,9 +299,7 @@ def is_idempotent_letter(dfa: Dfa, j: int) -> bool:
 
     Equivalently, the letter fixes every state of its own image.
     """
-    _check_letters(dfa.k, (j,))
-    row = dfa.delta[j]
-    return all(row[row[q]] == row[q] for q in range(dfa.n))
+    return is_idempotent_word(dfa, (j,))
 
 
 def is_idempotent_word(dfa: Dfa, word: Iterable[int]) -> bool:
@@ -458,10 +466,7 @@ def word_from_names(dfa: Dfa, names: Iterable[str]) -> Word:
         return tuple(map(index.__getitem__, names))
     except (KeyError, TypeError):  # an unknown or an unhashable name
         for name in names:
-            if not isinstance(name, str):
-                raise UsageError(
-                    f"letter name {name!r} has type {type(name).__name__}, expected str"
-                ) from None
+            _check_str("letter name", name)
             if name not in index:
                 dfa.letter_index(name)  # raises the "no letter named" error
         raise

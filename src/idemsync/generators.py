@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import compress, islice, repeat
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import Dfa, UsageError, Word, _check_int, _check_letters
 
@@ -60,15 +60,25 @@ def higgins_transform(dfa: Dfa) -> HigginsImage:
     idempotent with rank equal to the base state count, and the result
     synchronizes exactly when the base does, with twice the threshold.
     """
-    n = dfa.n
-    identity = tuple(range(n))
-    primed = tuple(range(n, 2 * n))
-    rows = [identity + row for row in dfa.delta]
-    rows.append(primed + primed)
-    letters = tuple(f"a{j + 1}" for j in range(dfa.k)) + ("b",)
+    names, originals, primeds = zip(*_doubled_letters(dfa, tuples=True))
+    rows = tuple(map(tuple.__add__, originals, primeds))
     # rows of a checked automaton, extended by entries below 2n
-    result = Dfa._from_checked(2 * n, letters, tuple(rows))
-    return HigginsImage(result, n, tuple(range(dfa.k)), dfa.k)
+    result = Dfa._from_checked(2 * dfa.n, names, rows)
+    return HigginsImage(result, dfa.n, tuple(range(dfa.k)), dfa.k)
+
+
+def _doubled_letters(dfa: Dfa, tuples: bool = False) -> list[tuple[str, Sequence, Sequence]]:
+    """The doubled letters as ``(name, original half, primed half)``, the
+    halves being the targets of states ``0 .. n-1`` and ``n .. 2n-1``:
+    ``a{j+1}`` is the identity then base row ``j``, and ``b`` the primed
+    states twice.  Those two are made once and shared, as tuples when
+    ``tuples``, else as ranges, which hold no int per new state.
+    """
+    identity, primed = range(dfa.n), range(dfa.n, 2 * dfa.n)
+    if tuples:
+        identity, primed = tuple(identity), tuple(primed)
+    letters = [(f"a{j + 1}", identity, row) for j, row in enumerate(dfa.delta)]
+    return letters + [("b", primed, primed)]
 
 
 def chi_encode(image: HigginsImage, word: Iterable[int]) -> Word:

@@ -30,7 +30,7 @@ from .analysis import (
     reset_threshold,
     verify_reset_word,
 )
-from .core import Dfa, UsageError, _check_int, _read_once
+from .core import Dfa, UsageError, _check_int, _check_str, _read_once
 from .generators import (
     chi_encode,
     gen_cerny,
@@ -363,8 +363,7 @@ def run_harness(
         raise UsageError(f"claim ids {claims!r} is a string, expected an iterable of claim ids")
     ids = _read_once("claim ids", claims, "claim ids")
     for claim in ids:
-        if not isinstance(claim, str):  # unhashable, or unsortable beside the others
-            raise UsageError(f"claim id {claim!r} has type {type(claim).__name__}, expected str")
+        _check_str("claim id", claim)  # unhashable, or unsortable beside the others
     selected = sorted(set(ids))
     unknown = [c for c in selected if c not in CLAIMS]
     if unknown:

@@ -15,6 +15,7 @@ parsed file yields its canonical form.
 from __future__ import annotations
 
 import json
+from typing import Sequence
 
 from .core import Dfa, UsageError
 
@@ -118,17 +119,20 @@ def _state_indices(lineno: int, name: str, text: str, n: int) -> tuple[int, ...]
 
 
 def render_automaton(dfa: Dfa) -> str:
-    """Canonical SAF text for an automaton; stable across runs.
+    """Canonical SAF text for an automaton; stable across runs."""
+    return _saf_text(list(zip(dfa.letters, dfa.delta)))
 
-    Peak memory is at most two copies of the text: each row is one ``%``
-    format of its tuple, and no string per state is ever held.
+
+def _saf_text(letters: Sequence[tuple]) -> str:
+    """The SAF text of the letters ``(name, *parts)``, whose parts joined
+    are the row and give the state count.  Each distinct part object is
+    formatted once, as a tuple, and a name is joined on, never formatted;
+    the pieces and their one join are at most two copies of the text.
     """
-    lines = ["SAF 1", f"{dfa.n} {dfa.k}"]
-    for name, row in zip(dfa.letters, dfa.delta):
-        # entries are exact ints (a Dfa guarantee), which %d writes as str
-        # does; the name is joined on, never formatted
-        lines.append(name + " %d" * dfa.n % row)
-    # an empty last line gives the final newline: one join, and no
-    # second full copy of the text at the point of peak memory
-    lines.append("")
-    return "\n".join(lines)
+    # entries are exact ints (a Dfa guarantee), which %d writes as str does
+    distinct = {id(part): part for _, *parts in letters for part in parts}
+    text = {key: " %d" * len(part) % tuple(part) for key, part in distinct.items()}
+    pieces = [f"SAF 1\n{sum(map(len, letters[0][1:]))} {len(letters)}\n"]
+    for name, *parts in letters:
+        pieces += [name, *map(text.__getitem__, map(id, parts)), "\n"]
+    return "".join(pieces)

@@ -565,6 +565,31 @@ def test_only_three_checked_sites_skip_the_dfa_scan():
     ]
 
 
+def _sites(matches) -> list[str]:
+    """``module.py:function`` of every node of the package that ``matches``."""
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        sites += [f"{path.name}:{_owner(tree, node)}" for node in ast.walk(tree) if matches(node)]
+    return sorted(sites)
+
+
+def test_one_saf_row_writer_and_one_description_of_the_doubling():
+    # the SAF row format is built in the one writer, and the doubled
+    # letters a1 .. ak and b are named where the doubling is described
+    assert _sites(lambda node: isinstance(node, ast.Constant) and node.value == " %d") == [
+        "saf.py:_saf_text"
+    ]
+    assert _sites(
+        lambda node: isinstance(node, ast.JoinedStr)
+        and isinstance(node.values[0], ast.Constant)
+        and node.values[0].value == "a"
+    ) == ["generators.py:_doubled_letters"]
+    b_sites = _sites(lambda node: isinstance(node, ast.Constant) and node.value == "b")
+    assert "generators.py:_doubled_letters" in b_sites
+    assert all(site.startswith("generators.py:") for site in b_sites)
+
+
 def test_the_integer_type_rule_is_written_once():
     # every integer parameter goes through core._check_int for its type rule
     writers = []

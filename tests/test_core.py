@@ -131,6 +131,17 @@ class TestDfaValidation:
         with pytest.raises(UsageError):
             Dfa(1, ("a b",), ((0,),))
 
+    @pytest.mark.parametrize(
+        "name, kind", [(("a",), "tuple"), (3, "int"), (b"a", "bytes"), (None, "NoneType")]
+    )
+    def test_rejects_a_letter_name_that_is_not_a_string(self, name, kind):
+        # a tuple was accepted as a name, and 3 or b'a' raised a bare
+        # TypeError from the '#' check
+        with pytest.raises(UsageError) as info:
+            Dfa(1, (name,), ((0,),))
+        assert type(info.value) is UsageError
+        assert str(info.value) == f"letter name {name!r} has type {kind}, expected str"
+
     def test_rejects_a_hash_in_a_letter_name(self):
         # SAF reads a '#' as the start of a comment, so no row carries it
         with pytest.raises(UsageError) as err:
@@ -187,6 +198,13 @@ class TestStateSet:
             StateSet(-1, 3)
         with pytest.raises(UsageError):
             StateSet.of([5], 3)
+
+    def test_bytes_reach_the_largest_member_only(self):
+        # the buffer used to take capacity / 8 bytes: a MemoryError for
+        # 2**36 states, an OverflowError for 2**70
+        assert StateSet.of([3], 2**36) == StateSet(8, 2**36)
+        assert StateSet.of([], 2**70) == StateSet.empty(2**70)
+        assert StateSet.of(iter([2**20, 0]), 2**70).members() == (0, 2**20)
 
     def test_equality_is_structural(self):
         assert StateSet.of([1, 2], 4) == StateSet(0b110, 4)
@@ -659,7 +677,7 @@ INT_TAKERS = [
     ("StateSet.n", "capacity", lambda v: StateSet(0, v), True),
     ("StateSet.empty.n", "capacity", StateSet.empty, True),
     ("StateSet.full.n", "capacity", StateSet.full, False),
-    ("StateSet.of.n", "capacity", lambda v: StateSet.of([], v), False),
+    ("StateSet.of.n", "capacity", lambda v: StateSet.of([], v), True),
     ("StateSet.of.states", "state", lambda v: StateSet.of([v], 4), True),
     ("SearchBudget.max_subsets", "max_subsets", lambda v: SearchBudget(max_subsets=v), True),
     ("SearchBudget.max_depth", "max_depth", lambda v: SearchBudget(max_depth=v), True),

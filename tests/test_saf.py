@@ -19,6 +19,8 @@ from idemsync import (
     parse_automaton,
     render_automaton,
 )
+from idemsync.generators import _doubled_letters
+from idemsync.saf import _saf_text
 from oracles import reference_parse_automaton
 
 FLIPFLOP_TEXT = "SAF 1\n2 2\na 0 0\nb 1 1\n"
@@ -73,6 +75,28 @@ def test_every_accepted_name_survives_the_round_trip(args):
         return
     _assert_same_outcome(render_automaton(dfa))
     assert parse_automaton(render_automaton(dfa)) == dfa
+
+
+@pytest.mark.parametrize("name", ["%d", "%s", "{0}", "%%"])
+def test_format_characters_in_a_name_are_written_verbatim(name):
+    # the row parts are % formats; a name is joined on, never formatted
+    dfa = Dfa(2, (name, "b"), ((1, 0), (1, 1)))
+    text = render_automaton(dfa)
+    assert text == f"SAF 1\n2 2\n{name} 1 0\nb 1 1\n"
+    assert parse_automaton(text) == dfa
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["one-object", "equal-objects"])
+def test_equal_rows_double_to_the_rendered_text(shared):
+    # the writer formats each distinct part once, so a row that another
+    # letter holds too must still be written for each of them
+    row = (2, 0, 2)
+    dfa = Dfa(3, ("x", "y", "z"), (row, row if shared else tuple(list(row)), (0, 1, 2)))
+    assert (dfa.delta[0] is dfa.delta[1]) == shared
+    expected = render_automaton(higgins_transform(dfa).result)
+    assert _saf_text(_doubled_letters(dfa)) == expected
+    assert expected.splitlines()[2:4] == ["a1 0 1 2 2 0 2", "a2 0 1 2 2 0 2"]
+    assert render_automaton(dfa) == "SAF 1\n3 3\nx 2 0 2\ny 2 0 2\nz 0 1 2\n"
 
 
 def test_render_canonicalizes_comments_and_spacing():

@@ -25,7 +25,8 @@ from idemsync import (
     higgins_transform,
     render_automaton,
 )
-from idemsync.cli import _higgins_text
+from idemsync.generators import _doubled_letters
+from idemsync.saf import _saf_text
 from oracles import (
     reference_export_dot,
     reference_gen_random_dfa,
@@ -33,6 +34,12 @@ from oracles import (
     reference_render_automaton,
 )
 from strategies import dfas
+
+
+def _higgins_text(dfa: Dfa) -> str:
+    """What ``transform higgins`` writes: the shared SAF writer on the
+    description of the doubled letters, with no doubled table."""
+    return _saf_text(_doubled_letters(dfa))
 
 
 def _rechecked(dfa: Dfa) -> Dfa:
@@ -218,6 +225,7 @@ class TestStateSet:
             ([0], 0, "state 0 leaves [0, 0)"),
             ([0], -9, "state 0 leaves [0, -9)"),
             ([], -9, "capacity must be nonnegative, got -9"),
+            ([2**70, 5, "x"], 2**36, f"state {2**70} leaves [0, {2**36})"),
         ],
     )
     def test_errors_match_the_plain_check(self, states, n, message):
