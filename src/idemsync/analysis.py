@@ -18,18 +18,24 @@ threshold together with the lexicographically least shortest reset
 word.  The search is budgeted; the pair test runs first so
 non-synchronizing inputs never trigger an exponential walk.
 
-The search is level-synchronous, and a level costs a few C-level passes:
-the bit-parallel image trick of exact reset-word tools (Trahtman 2006;
-Kisielewicz, Kowalski and Szykuła 2015) applied to byte columns, each
-holding one byte of every frontier subset and mapped by a letter through
-256-byte ``bytes.translate`` tables into one buffer of ``8 * k * W`` bytes
-per frontier subset (``W`` 64-bit words per state set).  Each level
-stores, per discovered subset, only its parent's index and the letter
-taken; the next frontier and the witness are read through these arrays.
-Because subsets
-are discovered in frontier order and letters are tried in index order,
-the first singleton found ends the lexicographically least shortest
-reset word.
+The search is level-synchronous and uses the bit-parallel image trick of
+exact reset-word tools (Trahtman 2006; Kisielewicz, Kowalski and Szykuła
+2015): one 256-byte table per letter and pair of source byte and image
+byte gives that image byte's share for every value of the source byte.
+Each level's images land in one buffer of ``8 * k * W`` bytes per
+frontier subset (``W`` 64-bit words per state set), built by one of two
+kernels chosen by the frontier's width.  A wide level costs a few
+C-level passes: the column kernel gathers byte columns, each holding one
+byte of every frontier subset, and maps them through the tables with
+``bytes.translate``.  A level of at most eight subsets, where those
+passes cost more than the subsets do, takes the one-set kernel: each
+subset's non-zero bytes are looked up in the same tables, one subset at
+a time.  Both write the same bytes.  Each level stores, per discovered
+subset, only its parent's index and the letter taken; the next frontier
+and the witness are read through these arrays.  Because subsets are
+discovered in frontier order and letters are tried in index order, the
+first singleton found ends the lexicographically least shortest reset
+word.
 """
 
 from __future__ import annotations
@@ -89,6 +95,14 @@ DEFAULT_CAPACITY = 63
 # and _OR_BIT[b] translates each byte value v to v | 1 << b
 _FLIP = 7 if sys.byteorder == "big" else 0
 _OR_BIT = [bytes(map(or_, range(256), repeat(1 << b))) for b in range(8)]
+
+# A search level of at most _THIN subsets maps them one at a time through
+# the column kernel's tables; the column kernel's fixed cost per level pays
+# off only on wider levels.  On the claims' levels (n <= 16) the one-set
+# kernel took 1.1 µs for one subset and 4.9 µs for seven, the column
+# kernel 4.5-5.5 µs; from eight subsets on they were level or the column
+# kernel won (Python 3.11, two vCPUs)
+_THIN = 8
 
 # Largest pair table, in bytes, the pair test allocates: a terminal
 # component of at most 16,384 states
@@ -378,14 +392,20 @@ def reset_threshold(
     reset word, and ``states_explored`` counts the subsets discovered up
     to and including it.
 
-    Subsets are bit sets, kept as ints in the seen set.  A level gathers
-    its frontier into byte columns; each image byte is the OR of the
-    ``translate`` of one or a few columns, one 256-byte table per pair of
-    source byte and image byte.  The candidates fill ``k`` records of
-    ``W = ceil(n / 64)`` native 64-bit words per frontier subset, read as
-    ints in position order, the index of the parent in the previous level
-    times ``k`` plus the letter.  Each discovered subset keeps its
-    position in an array per level, for the next frontier and the witness.
+    Subsets are bit sets, kept as ints in the seen set.  Each image byte
+    is the OR of one or a few lookups, one 256-byte table per pair of
+    source byte and image byte.  A level of more than eight subsets
+    gathers its frontier into byte columns and ``translate``s them, each
+    column through each of its tables once.  A level of at most eight
+    reads its subsets' records from the previous level's buffer, one at a
+    time, and looks each non-zero byte up in the same tables.  Either
+    way the candidates fill ``k`` records of ``W = ceil(n / 64)`` native
+    64-bit words per frontier subset, read as ints in position order, the
+    index of the parent in the previous level times ``k`` plus the
+    letter.  Each discovered subset keeps its position in an array per
+    level, for the next frontier and the witness.  So a thin search, such
+    as the ladder's one subset a level, pays per subset rather than per
+    state at every level.
 
     Raises ``UsageError`` past ``capacity`` states; there :func:`is_synchronizing`
     alone decides, for sink-free inputs up to a terminal component of
@@ -408,6 +428,8 @@ def reset_threshold(
     step = 8 * words * k
     # offset of an image byte in the records -> its (source byte, table) pairs
     outputs: dict[int, list[tuple[int, bytes]]] = {}
+    # offset of a source byte in a record -> its (image offset, table) pairs
+    by_source: dict[int, list[tuple[int, bytes]]] = {}
     for j, row in enumerate(dfa.delta):
         for start in range(0, n, 8):
             targets = row[start : start + 8]
@@ -415,8 +437,9 @@ def reset_threshold(
                 table = b"\0"  # doubled once per state of the byte, padded to 256
                 for t in targets:
                     table += table.translate(_OR_BIT[t & 7]) if t >> 3 == o else table
-                pairs = outputs.setdefault(8 * words * j + (o ^ _FLIP), [])
-                pairs.append((start >> 3, table.ljust(256, b"\0")))
+                offset, table = 8 * words * j + (o ^ _FLIP), table.ljust(256, b"\0")
+                outputs.setdefault(offset, []).append((start >> 3, table))
+                by_source.setdefault((start >> 3) ^ _FLIP, []).append((offset, table))
     max_subsets = budget.max_subsets
     seen = {full}
     add_seen = seen.add
@@ -430,18 +453,21 @@ def reset_threshold(
         if budget.max_depth is not None and depth >= budget.max_depth:
             return SyncResult(False, None, None, len(seen), True)
         depth += 1
-        gathered = [
-            array("Q", map(cells[w::words].__getitem__, links)).tobytes()
-            for w in range(words)
-        ]
-        columns = [gathered[c >> 3][(c ^ _FLIP) & 7 :: 8] for c in range(n + 7 >> 3)]
-        buf = bytearray(step * len(links))
-        for offset, sources in outputs.items():
-            bits = 0
-            for c, table in sources:
-                bits |= int.from_bytes(columns[c].translate(table), "little")
-            buf[offset::step] = bits.to_bytes(len(links), "little")
-        del gathered, columns  # freed before the seen set grows
+        if len(links) <= _THIN:
+            buf = _one_set_images(cells.cast("B"), links, 8 * words, by_source.items(), step)
+        else:
+            gathered = [
+                array("Q", map(cells[w::words].__getitem__, links)).tobytes()
+                for w in range(words)
+            ]
+            columns = [gathered[c >> 3][(c ^ _FLIP) & 7 :: 8] for c in range(n + 7 >> 3)]
+            buf = bytearray(step * len(links))
+            for offset, sources in outputs.items():
+                bits = 0
+                for c, table in sources:
+                    bits |= int.from_bytes(columns[c].translate(table), "little")
+                buf[offset::step] = bits.to_bytes(len(links), "little")
+            del gathered, columns  # freed before the seen set grows
         cells = memoryview(buf).cast("Q")
         candidates = cells[::words]
         for w in range(1, words):
@@ -463,6 +489,36 @@ def reset_threshold(
     raise RuntimeError(
         "subset search exhausted without a singleton after a positive pair test"
     )
+
+
+def _one_set_images(
+    records: memoryview,
+    links: array,
+    width: int,
+    sources: Iterable[tuple[int, list[tuple[int, bytes]]]],
+    step: int,
+) -> bytearray:
+    """The candidate records of a thin level, one frontier subset at a time.
+
+    Subset ``i`` is the ``width`` bytes of record ``links[i]`` in
+    ``records``.  ``sources`` pairs the offset of each source byte in a
+    record with its (image offset, table) pairs: a non-zero source byte is
+    looked up in those tables and the results are ORed into the image
+    bytes.  The records come out as the column kernel lays them out,
+    ``step`` bytes per subset in frontier order, one letter's ``W`` words
+    after another's.
+    """
+    buf = bytearray(step * len(links))
+    base = 0
+    for r in links:
+        record = records[r * width : r * width + width]
+        for at, pairs in sources:
+            value = record[at]
+            if value:
+                for offset, table in pairs:
+                    buf[base + offset] |= table[value]
+        base += step
+    return buf
 
 
 def _spell_back(levels: list[array], position: int, k: int) -> Word:

@@ -14,6 +14,7 @@ Everything in this module is immutable and safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import eq
 from typing import Iterable, Iterator, Sequence
 
 Word = tuple[int, ...]
@@ -304,10 +305,16 @@ def is_idempotent_letter(dfa: Dfa, j: int) -> bool:
 
 def is_idempotent_word(dfa: Dfa, word: Iterable[int]) -> bool:
     """True when the selfmap induced by ``word`` equals its own square."""
-    once = list(range(dfa.n))
-    for j in _check_letters(dfa.k, word):
+    word = _check_letters(dfa.k, word)
+    if not word:
+        return True
+    # composed from the first letter's row and compared pointwise, so a
+    # letter builds no n-entry sequence (building one tuple per call
+    # raised the peak RSS of repeated harness passes by about 1 MB)
+    once = dfa.delta[word[0]]
+    for j in word[1:]:
         once = list(map(dfa.delta[j].__getitem__, once))
-    return list(map(once.__getitem__, once)) == once
+    return all(map(eq, map(once.__getitem__, once), once))
 
 
 def find_sinks(dfa: Dfa) -> StateSet:

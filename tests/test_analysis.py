@@ -1,6 +1,7 @@
 import ast
 import random
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,7 @@ from idemsync import (
     subautomaton,
     verify_reset_word,
 )
+from idemsync import analysis
 from oracles import (
     brute_shortest_reset,
     closure,
@@ -270,6 +272,55 @@ class TestSearchEngine:
         assert doubled.threshold == n * n // 2 - 2 * n + 2 == (392, 450)[m - 15]
         base = reset_threshold(gen_cerny(m))
         assert doubled.witness == chi_encode(image, base.witness)
+
+    def test_budget_runs_out_inside_a_thin_level(self):
+        # Černý 10's first five levels discover 1, 1, 1, 2 and 3 subsets,
+        # so the budget runs out inside the fifth, built from two subsets
+        dfa = gen_cerny(10)
+        budget = SearchBudget(max_subsets=7)
+        result = reset_threshold(dfa, budget)
+        assert result == reference_reset_threshold(dfa, budget)
+        assert result.truncated and result.states_explored == 7
+
+    def test_depth_cut_on_thin_levels(self):
+        # the ladder's first level holds two subsets and each later level
+        # one, so five levels discover six besides the full set
+        dfa = gen_ladder(30)
+        budget = SearchBudget(max_depth=5)
+        result = reset_threshold(dfa, budget)
+        assert result == reference_reset_threshold(dfa, budget)
+        assert result.truncated and result.states_explored == 7
+
+    def test_ladder_of_three_words(self):
+        n = 130
+        result = reset_threshold(gen_ladder(n), capacity=n)
+        assert (result.threshold, result.states_explored) == (n - 1, n + 1)
+        assert result == reference_reset_threshold(gen_ladder(n), capacity=n)
+
+
+class TestKernelsAlone(TestSearchEngine):
+    """The search engine tests with one kernel on every level: the column
+    kernel with the width bound at 0, the one-set kernel with it above
+    every frontier."""
+
+    @pytest.fixture(autouse=True, params=[0, sys.maxsize], ids=["column", "one-set"])
+    def _thin(self, request, monkeypatch):
+        monkeypatch.setattr(analysis, "_THIN", request.param)
+
+    # hypothesis runs a test function on instances of one class only, so
+    # the two property tests are written again here rather than inherited
+    @settings(max_examples=150, deadline=None)
+    @given(dfas_with_budgets())
+    def test_matches_reference_engine(self, case):
+        dfa, budget = case
+        assert reset_threshold(dfa, budget) == reference_reset_threshold(dfa, budget)
+
+    @settings(max_examples=40, deadline=None)
+    @given(dfas_with_budgets(max_n=140, max_k=5, max_subsets=2000))
+    def test_matches_reference_across_byte_and_word_boundaries(self, case):
+        dfa, budget = case
+        result = reset_threshold(dfa, budget, capacity=dfa.n)
+        assert result == reference_reset_threshold(dfa, budget, capacity=dfa.n)
 
 
 class TestVerifyResetWord:

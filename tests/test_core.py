@@ -325,6 +325,17 @@ class TestLetterFacts:
         dfa, word = case
         assert is_idempotent_word(dfa, word) == reference_is_idempotent_word(dfa, word)
 
+    @pytest.mark.parametrize("length", [0, 1, 2, 3])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_short_idempotent_words_match_reference(self, length, data):
+        # the word is composed from its first letter's row, so the empty
+        # word and words of one, two and three letters each take a path
+        case = dfas_with_words(max_n=8, min_len=length, max_len=length)
+        dfa, word = data.draw(case)
+        assert is_idempotent_word(dfa, word) == reference_is_idempotent_word(dfa, word)
+        assert is_idempotent_word(dfa, iter(word)) == reference_is_idempotent_word(dfa, word)
+
 
 class TestSinksAndConnectivity:
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
